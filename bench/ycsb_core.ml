@@ -138,6 +138,23 @@ type worker = {
   mutable w_calls : int;
 }
 
+let new_worker ~idx ~model =
+  {
+    w_idx = idx;
+    w_model = model;
+    w_lat = Iw_hist.create ();
+    w_read = Iw_hist.create ();
+    w_write = Iw_hist.create ();
+    w_stale = Iw_hist.create ();
+    w_reads = 0;
+    w_writes = 0;
+    w_errors = 0;
+    w_skipped = 0;
+    w_bytes_sent = 0;
+    w_bytes_received = 0;
+    w_calls = 0;
+  }
+
 type shared = {
   latest : float array;  (* per segment: newest ACKED commit timestamp *)
   seg_stale : (Mutex.t * Iw_hist.t) array;  (* per segment, cross-worker *)
@@ -230,6 +247,17 @@ let setup_segments cfg ep shared =
 
 let now () = Unix.gettimeofday ()
 
+(* Run one scheduled op.  A completed op's latency, from its scheduled
+   start, goes to the histograms; an op that raised counts only in
+   [w_errors], so failures never masquerade as fast (or slow) successes. *)
+let timed_op w ~is_read ~sched op =
+  match op () with
+  | () ->
+    let lat_us = (now () -. sched) *. 1e6 in
+    Iw_hist.record w.w_lat lat_us;
+    Iw_hist.record (if is_read then w.w_read else w.w_write) lat_us
+  | exception _ -> w.w_errors <- w.w_errors + 1
+
 let run_worker cfg ep shared desc w start_gate =
   let c = connect_client ep in
   let model = w.w_model in
@@ -292,12 +320,8 @@ let run_worker cfg ep shared desc w start_gate =
         if t < sched then Thread.delay (sched -. t);
         let target = segs.(zipf_pick cum rng) in
         let is_read = Random.State.float rng 100. < cfg.read_pct in
-        (try if is_read then do_read target else do_write target
-         with _ -> w.w_errors <- w.w_errors + 1);
-        let lat_us = (now () -. sched) *. 1e6 in
-        Iw_hist.record w.w_lat lat_us;
-        if is_read then Iw_hist.record w.w_read lat_us
-        else Iw_hist.record w.w_write lat_us;
+        timed_op w ~is_read ~sched (fun () ->
+            if is_read then do_read target else do_write target);
         loop (sched +. next_gap ())
       end
     end
@@ -535,22 +559,7 @@ let run cfg =
   in
   let desc = setup_segments cfg ep shared in
   let workers =
-    Array.init cfg.clients (fun i ->
-        {
-          w_idx = i;
-          w_model = model_of_idx cfg i;
-          w_lat = Iw_hist.create ();
-          w_read = Iw_hist.create ();
-          w_write = Iw_hist.create ();
-          w_stale = Iw_hist.create ();
-          w_reads = 0;
-          w_writes = 0;
-          w_errors = 0;
-          w_skipped = 0;
-          w_bytes_sent = 0;
-          w_bytes_received = 0;
-          w_calls = 0;
-        })
+    Array.init cfg.clients (fun i -> new_worker ~idx:i ~model:(model_of_idx cfg i))
   in
   (* Start gate: workers connect, report ready, and block until the main
      thread fixes the common schedule origin. *)

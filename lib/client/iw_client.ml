@@ -152,6 +152,7 @@ and t = {
   c_scratch : Iw_wire.Buf.t;
       (* reused payload-encoding buffer: collection runs are sequential, and
          reusing the buffer avoids re-zeroing megabytes per release *)
+  mutable c_ranges : int array;  (* diff collection's (lo, hi) unit-range pairs *)
   (* Staleness flags set by the notification receiver thread; guarded by a
      mutex because that thread races with the application thread. *)
   c_stale : (string, unit) Hashtbl.t;
@@ -522,6 +523,7 @@ let connect ?(arch = Iw_arch.x86_32) ?(busy_wait = None) link =
         auto_subscribe = true;
       };
     c_scratch = Iw_wire.Buf.create ~capacity:65536 ();
+    c_ranges = Array.make 1024 0;
     c_stale = Hashtbl.create 8;
     c_stale_mutex = Mutex.create ();
     c_notifications_enabled = false;
@@ -686,9 +688,9 @@ let ptr_to_mip c a =
     let pu =
       if byte_off = 0 then 0
       else begin
-        match Iw_types.locate_byte b.Iw_mem.b_layout byte_off with
-        | Some loc -> loc.Iw_types.l_index
-        | None -> error "ptr_to_mip: address %d falls on alignment padding" a
+        match Iw_types.index_of_byte b.Iw_mem.b_layout byte_off with
+        | -1 -> error "ptr_to_mip: address %d falls on alignment padding" a
+        | pu -> pu
       end
     in
     (* Hot path (one call per live pointer translated): plain concatenation
@@ -868,16 +870,17 @@ let apply_update g ~unswizzle (serial, runs) =
     | Some (_, nb) -> Some nb
     | None -> None);
   let lay = b.Iw_mem.b_layout in
-  List.iter
-    (fun (run : Iw_wire.Diff.run) ->
-      let upto = run.start_pu + run.len_pu in
-      if upto > Iw_types.layout_prim_count lay then
-        error "segment %s: run beyond end of block %d" g.g_name serial;
-      let r = Iw_wire.Reader.of_string run.payload in
-      Iw_mem.with_raw c.c_space b.Iw_mem.b_addr (fun bytes base ->
-          Iw_wire.apply_prims r (arch c) lay bytes ~base ~from:run.start_pu ~upto
-            ~unswizzle))
-    runs
+  let pcount = Iw_types.layout_prim_count lay in
+  let r = Iw_wire.Reader.of_string "" in
+  Iw_mem.with_raw c.c_space b.Iw_mem.b_addr (fun bytes base ->
+      let apply = Iw_wire.apply_prims r (arch c) lay bytes ~base ~unswizzle in
+      List.iter
+        (fun (run : Iw_wire.Diff.run) ->
+          let upto = run.start_pu + run.len_pu in
+          if upto > pcount then error "segment %s: run beyond end of block %d" g.g_name serial;
+          Iw_wire.Reader.reset r run.payload;
+          apply ~from:run.start_pu ~upto)
+        runs)
 
 let apply_diff_plain g (diff : Iw_wire.Diff.t) =
   let c = g.g_client in
@@ -1197,100 +1200,147 @@ let free c a =
 (* Diff collection (paper, Sec. 3.1): word-diff twinned pages, map byte runs
    to blocks and primitive-unit ranges, translate to wire format. *)
 
-(* Primitive containing [off], or the first one after it (skipping alignment
-   padding).  [None] when only trailing padding remains. *)
-let locate_round_up lay off =
-  let size = Iw_types.size lay in
-  let rec go off =
-    if off >= size then None
-    else
-      match Iw_types.locate_byte lay off with
-      | Some loc -> Some loc
-      | None -> go (off + 1)
-  in
-  go off
+(* Unit containing [off], or the first one after it (skipping alignment
+   padding); the unit count when only trailing padding remains. *)
+let rec unit_round_up lay off =
+  if off >= Iw_types.size lay then Iw_types.layout_prim_count lay
+  else
+    match Iw_types.index_of_byte lay off with
+    | -1 -> unit_round_up lay (off + 1)
+    | i -> i
 
-(* Primitive containing [off], or the last one before it. *)
-let locate_round_down lay off =
-  let rec go off =
-    if off < 0 then None
-    else
-      match Iw_types.locate_byte lay off with
-      | Some loc -> Some loc
-      | None -> go (off - 1)
-  in
-  go off
+(* Unit containing [off], or the last one before it; [-1] if none. *)
+let rec unit_round_down lay off =
+  if off < 0 then -1
+  else
+    match Iw_types.index_of_byte lay off with
+    | -1 -> unit_round_down lay (off - 1)
+    | i -> i
 
-(* Accumulate per-block primitive ranges for one modified byte run. *)
-let ranges_of_run c per_block (run_addr, run_len) =
-  let run_end = run_addr + run_len in
-  let rec walk a =
+(* One modified block's primitive-unit ranges, gathered by the block walk
+   as (lo, hi) pairs in [c_ranges.(p_first) .. c_ranges.(p_next - 1)].
+   Starts arrive non-decreasing, so each range merges into the previous one
+   on arrival; [p_covered] sums the ranges before merging, which is what the
+   block no-diff threshold compares. *)
+type pending_block = {
+  p_block : Iw_mem.block;
+  p_first : int;
+  mutable p_next : int;
+  mutable p_covered : int;
+}
+
+let add_range c p lo hi =
+  p.p_covered <- p.p_covered + hi - lo;
+  let last = p.p_next - 1 in
+  if last > p.p_first && lo <= c.c_ranges.(last) then
+    c.c_ranges.(last) <- max c.c_ranges.(last) hi
+  else begin
+    if p.p_next + 2 > Array.length c.c_ranges then begin
+      let grown = Array.make (2 * Array.length c.c_ranges) 0 in
+      Array.blit c.c_ranges 0 grown 0 p.p_next;
+      c.c_ranges <- grown
+    end;
+    c.c_ranges.(p.p_next) <- lo;
+    c.c_ranges.(p.p_next + 1) <- hi;
+    p.p_next <- p.p_next + 2
+  end
+
+(* Map modified byte runs to per-block primitive ranges, in ascending serial
+   order.  The runs ascend and a block never spans subsegments, so a block's
+   runs are consecutive: the walk holds the current block and looks a block
+   up (and checks whether it was created or freed in this critical section)
+   only when a run leaves it. *)
+let modified_blocks c byte_runs =
+  let pending = ref [] in
+  let cur = ref None and cur_skip = ref false in
+  let enter b =
+    let g = seg_of_heap c b.Iw_mem.b_heap in
+    cur := Some b;
+    (* Created blocks travel whole in a Create change; blocks freed in this
+       critical section are not transmitted at all. *)
+    cur_skip :=
+      Hashtbl.mem g.g_created b.Iw_mem.b_serial
+      || Hashtbl.mem g.g_pending_frees b.Iw_mem.b_serial
+  in
+  let span b a stop =
+    let lay = b.Iw_mem.b_layout in
+    let lo = unit_round_up lay (a - b.Iw_mem.b_addr)
+    and hi = unit_round_down lay (stop - 1 - b.Iw_mem.b_addr) in
+    if lo <= hi then begin
+      let p =
+        match !pending with
+        | p :: _ when p.p_block == b -> p
+        | prev ->
+          let first = match prev with q :: _ -> q.p_next | [] -> 0 in
+          let p = { p_block = b; p_first = first; p_next = first; p_covered = 0 } in
+          pending := p :: prev;
+          p
+      in
+      add_range c p lo (hi + 1)
+    end
+  in
+  let rec walk a run_end =
     if a < run_end then begin
-      match Iw_mem.find_block c.c_space a with
-      | Some (b, off) ->
-        let g = seg_of_heap c b.Iw_mem.b_heap in
-        let block_end = b.Iw_mem.b_addr + b.Iw_mem.b_size in
-        let span_end = min run_end block_end in
-        let skip =
-          (* Created blocks travel whole in a Create change; blocks freed in
-             this critical section are not transmitted at all. *)
-          Hashtbl.mem g.g_created b.Iw_mem.b_serial
-          || Hashtbl.mem g.g_pending_frees b.Iw_mem.b_serial
-        in
-        if not skip then begin
-          let lay = b.Iw_mem.b_layout in
-          let lo = locate_round_up lay off in
-          let hi = locate_round_down lay (span_end - 1 - b.Iw_mem.b_addr) in
-          match (lo, hi) with
-          | Some lo, Some hi when lo.Iw_types.l_index <= hi.Iw_types.l_index ->
-            let range = (lo.Iw_types.l_index, hi.Iw_types.l_index + 1) in
-            (match Hashtbl.find_opt per_block b.Iw_mem.b_serial with
-            | Some (_, ranges) -> ranges := range :: !ranges
-            | None -> Hashtbl.replace per_block b.Iw_mem.b_serial (b, ref [ range ]))
-          | _ -> ()
-        end;
-        walk span_end
+      let block =
+        match !cur with
+        | Some b as block when a >= b.Iw_mem.b_addr && a < b.Iw_mem.b_addr + b.Iw_mem.b_size
+          ->
+          block
+        | Some _ | None -> begin
+          match Iw_mem.find_block c.c_space a with
+          | Some (b, _) ->
+            enter b;
+            !cur
+          | None -> None
+        end
+      in
+      match block with
+      | Some b ->
+        let stop = min run_end (b.Iw_mem.b_addr + b.Iw_mem.b_size) in
+        if not !cur_skip then span b a stop;
+        walk stop run_end
       | None -> begin
         (* Free space (e.g. a block freed during this critical section):
            jump to the next live block. *)
         match Iw_mem.next_block c.c_space a with
-        | Some b when b.Iw_mem.b_addr < run_end -> walk b.Iw_mem.b_addr
+        | Some b when b.Iw_mem.b_addr < run_end -> walk b.Iw_mem.b_addr run_end
         | Some _ | None -> ()
       end
     end
   in
-  walk run_addr
+  List.iter (fun (addr, len) -> walk addr (addr + len)) byte_runs;
+  List.sort
+    (fun p q -> Int.compare p.p_block.Iw_mem.b_serial q.p_block.Iw_mem.b_serial)
+    !pending
 
-(* Sort, merge overlapping/adjacent ranges. *)
-let normalize_ranges ranges =
-  let sorted = List.sort compare ranges in
-  let rec merge = function
-    | (a1, b1) :: (a2, b2) :: rest when a2 <= b1 -> merge ((a1, max b1 b2) :: rest)
-    | r :: rest -> r :: merge rest
-    | [] -> []
-  in
-  merge sorted
-
-let encode_block_runs c ~swizzle b ranges =
+(* Translate one block's ranges into runs: one subsegment lookup for the
+   block, each range translated through the client's scratch buffer. *)
+let encode_block_runs c ~swizzle p =
+  let b = p.p_block in
   let lay = b.Iw_mem.b_layout in
   let pcount = Iw_types.layout_prim_count lay in
-  let covered = List.fold_left (fun acc (a, e) -> acc + e - a) 0 ranges in
-  let ranges =
-    (* Block-level no-diff: translating a whole block is cheaper than
-       fragmenting it into many runs (paper, Sec. 3.3). *)
-    if float_of_int covered >= c.c_options.block_no_diff_threshold *. float_of_int pcount
-    then [ (0, pcount) ]
-    else ranges
-  in
-  List.map
-    (fun (from, upto) ->
-      let buf = c.c_scratch in
-      Iw_wire.Buf.clear buf;
-      Iw_mem.with_raw c.c_space b.Iw_mem.b_addr (fun bytes base ->
-          Iw_wire.collect_prims buf (arch c) lay bytes ~base ~from ~upto ~swizzle);
-      { Iw_wire.Diff.start_pu = from; len_pu = upto - from; payload = Iw_wire.Buf.contents buf })
-    (normalize_ranges ranges),
-  covered
+  let arch = arch c and buf = c.c_scratch in
+  Iw_mem.with_raw c.c_space b.Iw_mem.b_addr (fun bytes base ->
+      let collect = Iw_wire.collect_prims buf arch lay bytes ~base ~swizzle in
+      let run from upto =
+        Iw_wire.Buf.clear buf;
+        collect ~from ~upto;
+        { Iw_wire.Diff.start_pu = from; len_pu = upto - from; payload = Iw_wire.Buf.contents buf }
+      in
+      (* Block-level no-diff: translating a whole block is cheaper than
+         fragmenting it into many runs (paper, Sec. 3.3). *)
+      if float_of_int p.p_covered >= c.c_options.block_no_diff_threshold *. float_of_int pcount
+      then [ run 0 pcount ]
+      else begin
+        (* Back to front, so prepending yields ascending runs. *)
+        let runs = ref [] in
+        let i = ref (p.p_next - 2) in
+        while !i >= p.p_first do
+          runs := run c.c_ranges.(!i) c.c_ranges.(!i + 1) :: !runs;
+          i := !i - 2
+        done;
+        !runs
+      end)
 
 let collect_diff_plain g =
   let c = g.g_client in
@@ -1337,21 +1387,15 @@ let collect_diff_plain g =
         end)
       g.g_blocks
   | Diffing ->
-    let per_block = Hashtbl.create 16 in
-    List.iter (ranges_of_run c per_block) byte_runs;
-    (* Emit updates in ascending serial order (address order for segments
+    (* Updates go out in ascending serial order (address order for segments
        laid out at first caching), which is what the server's version-list
        prediction expects. *)
-    let entries =
-      Hashtbl.fold (fun serial (b, ranges) acc -> (serial, b, !ranges) :: acc) per_block []
-      |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-    in
     List.iter
-      (fun (serial, b, ranges) ->
-        let runs, covered = encode_block_runs c ~swizzle b ranges in
-        touched := !touched + covered;
-        changes := Iw_wire.Diff.Update { serial; runs } :: !changes)
-      entries);
+      (fun p ->
+        let runs = encode_block_runs c ~swizzle p in
+        touched := !touched + p.p_covered;
+        changes := Iw_wire.Diff.Update { serial = p.p_block.Iw_mem.b_serial; runs } :: !changes)
+      (modified_blocks c byte_runs));
   let creates =
     Hashtbl.fold (fun serial b acc -> (serial, b) :: acc) g.g_created []
     |> List.sort compare

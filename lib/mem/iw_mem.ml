@@ -312,9 +312,10 @@ let diff_page ss page acc =
       if !run_start >= 0 then begin
         let s = base + (!run_start * word) and e = base + (upto * word) in
         (* Merge with the previous run when contiguous (page-crossing runs
-           or splice-adjacent runs). *)
+           or splice-adjacent runs), never across subsegments, even when two
+           happen to be address-adjacent. *)
         (match !acc with
-        | (ps, pl) :: rest when ps + pl >= s ->
+        | (ps, pl) :: rest when ps + pl >= s && ps >= ss.ss_base ->
           acc := (ps, max (ps + pl) e - ps) :: rest
         | _ -> acc := (s, e - s) :: !acc);
         run_start := -1
@@ -335,16 +336,15 @@ let diff_page ss page acc =
     !acc
 
 let modified_runs h =
-  (* Per-subsegment accumulators so runs never merge across subsegments even
-     when two subsegments happen to be address-adjacent. *)
-  List.concat_map
+  (* Subsegments are in allocation order, which is ascending address order. *)
+  let acc = ref [] in
+  List.iter
     (fun ss ->
-      let acc = ref [] in
       for p = 0 to ss.ss_npages - 1 do
         acc := diff_page ss p !acc
-      done;
-      List.rev !acc)
-    h.h_subsegs
+      done)
+    h.h_subsegs;
+  List.rev !acc
 
 (* Typed access. *)
 

@@ -35,6 +35,7 @@ and sblock = {
   sb_lay : Iw_types.layout;  (* wire-convention layout *)
   sb_pcount : int;
   sb_data : Bytes.t;  (* packed fixed-size wire slots *)
+  sb_fixed : bool;  (* no pointer or string units: payloads are [sb_data] verbatim *)
   sb_vars : (int, string) Hashtbl.t;  (* prim index -> MIP / string payload *)
   sb_created_version : int;
   mutable sb_version : int;
@@ -221,28 +222,49 @@ let is_var : Iw_arch.prim -> bool = function
    primitives are verbatim byte ranges: no translation, just a copy — the
    reason the paper's server keeps data in wire format (Sec. 3.2). *)
 let encode_prims buf sb ~from ~upto =
-  Iw_types.fold_spans sb.sb_lay ~from ~upto ~init:()
-    ~f:(fun () (s : Iw_types.span) ->
-      if is_var s.s_prim then
-        for i = 0 to s.s_count - 1 do
+  Iw_types.iter_spans sb.sb_lay ~from ~upto (fun prim index off stride count ->
+      if is_var prim then
+        for i = 0 to count - 1 do
           Iw_wire.Buf.string buf
-            (match Hashtbl.find_opt sb.sb_vars (s.s_index + i) with
+            (match Hashtbl.find_opt sb.sb_vars (index + i) with
             | Some v -> v
             | None -> "")
         done
-      else
-        Iw_wire.Buf.raw buf sb.sb_data ~off:s.s_off ~len:(s.s_count * s.s_stride))
+      else Iw_wire.Buf.raw buf sb.sb_data ~off ~len:(count * stride))
 
-let decode_prims r sb ~from ~upto =
-  Iw_types.fold_spans sb.sb_lay ~from ~upto ~init:()
-    ~f:(fun () (s : Iw_types.span) ->
-      if is_var s.s_prim then
-        for i = 0 to s.s_count - 1 do
-          let v = Iw_wire.Reader.string r in
-          if v = "" then Hashtbl.remove sb.sb_vars (s.s_index + i)
-          else Hashtbl.replace sb.sb_vars (s.s_index + i) v
-        done
-      else Iw_wire.Reader.blit r sb.sb_data ~off:s.s_off ~len:(s.s_count * s.s_stride))
+let rec fixed_size : Iw_types.desc -> bool = function
+  | Prim p -> not (is_var p)
+  | Ptr _ -> false
+  | Array (d, _) -> fixed_size d
+  | Struct fields -> Array.for_all (fun (f : Iw_types.field) -> fixed_size f.ftype) fields
+
+(* The inverse of [encode_prims].  Applied up to the block, it returns the
+   decoder of one payload covering units [from, upto), so a block's runs
+   share one reader and one span closure.  A fixed-size block's payload is
+   its packed master copy bytes verbatim: one blit. *)
+let decode_prims sb =
+  let r = Iw_wire.Reader.of_string "" in
+  let f prim index off stride count =
+    if is_var prim then
+      for i = 0 to count - 1 do
+        let v = Iw_wire.Reader.string r in
+        if v = "" then Hashtbl.remove sb.sb_vars (index + i)
+        else Hashtbl.replace sb.sb_vars (index + i) v
+      done
+    else Iw_wire.Reader.blit r sb.sb_data ~off ~len:(count * stride)
+  in
+  fun ~from ~upto payload ->
+    if sb.sb_fixed then begin
+      let off = Iw_types.offset_of_index sb.sb_lay from in
+      let len = Iw_types.offset_of_index sb.sb_lay upto - off in
+      if String.length payload < len then
+        raise (Iw_wire.Malformed (Printf.sprintf "truncated input (need %d bytes)" len));
+      Bytes.blit_string payload 0 sb.sb_data off len
+    end
+    else begin
+      Iw_wire.Reader.reset r payload;
+      Iw_types.iter_spans sb.sb_lay ~from ~upto f
+    end
 
 let full_payload buf sb =
   Iw_wire.Buf.clear buf;
@@ -284,6 +306,7 @@ let make_block seg ~serial ~name ~desc_serial ~version =
       sb_lay = lay;
       sb_pcount = pcount;
       sb_data = Bytes.make (Iw_types.size lay) '\000';
+      sb_fixed = fixed_size desc;
       sb_vars = Hashtbl.create 4;
       sb_created_version = version;
       sb_version = version;
@@ -340,22 +363,10 @@ let observe_wasted_acquire t seg ~version =
       (seg_counter t seg "iw_seg_wasted_acquire_total"
          "Lock acquires that found the client cache already current")
 
-let diff_payload_bytes (diff : Iw_wire.Diff.t) =
-  List.fold_left
-    (fun acc (c : Iw_wire.Diff.block_change) ->
-      match c with
-      | Create { payload; _ } -> acc + String.length payload
-      | Update { runs; _ } ->
-        List.fold_left
-          (fun acc (run : Iw_wire.Diff.run) -> acc + String.length run.payload)
-          acc runs
-      | Free _ -> acc)
-    0 diff.changes
-
 (* Bytes a diff saved over shipping the whole segment's master copy — the
    paper's core bandwidth argument, now measurable per segment. *)
 let note_diff_saved t seg (diff : Iw_wire.Diff.t) =
-  let saved = seg.s_data_bytes - diff_payload_bytes diff in
+  let saved = seg.s_data_bytes - Iw_wire.Diff.payload_bytes diff in
   if saved > 0 then
     Iw_metrics.incr ~by:saved
       (seg_counter t seg "iw_seg_diff_bytes_saved_total"
@@ -387,7 +398,7 @@ let apply_diff t seg (diff : Iw_wire.Diff.t) =
           if Serial_tree.mem serial seg.s_blocks then
             raise (Reject (Printf.sprintf "block %d already exists" serial));
           let sb = make_block seg ~serial ~name ~desc_serial ~version:v in
-          decode_prims (Iw_wire.Reader.of_string payload) sb ~from:0 ~upto:sb.sb_pcount;
+          decode_prims sb ~from:0 ~upto:sb.sb_pcount payload;
           seg.s_blocks <- Serial_tree.add serial sb seg.s_blocks;
           append_before seg.s_tail sb.sb_node;
           seg.s_total_units <- seg.s_total_units + sb.sb_pcount;
@@ -417,12 +428,12 @@ let apply_diff t seg (diff : Iw_wire.Diff.t) =
             | Head | Marker _ -> next_block n.next
           in
           seg.s_pred <- Some (next_block sb.sb_node);
+          let decode = decode_prims sb in
           List.iter
             (fun (run : Iw_wire.Diff.run) ->
               let upto = run.start_pu + run.len_pu in
               if upto > sb.sb_pcount then raise (Reject "run beyond block end");
-              decode_prims (Iw_wire.Reader.of_string run.payload) sb ~from:run.start_pu
-                ~upto;
+              decode ~from:run.start_pu ~upto run.payload;
               mark_subblocks sb ~from:run.start_pu ~upto v)
             runs;
           sb.sb_version <- v;

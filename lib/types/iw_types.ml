@@ -183,62 +183,45 @@ type located = {
   l_off : int;
 }
 
-let locate_byte lay off0 =
-  let rec go lay ~off ~base_off ~base_idx =
-    if off < 0 || off >= lay.lsize then None
+let index_of_byte lay off0 =
+  let rec go lay ~off ~base_idx =
+    if off < 0 || off >= lay.lsize then -1
     else
       match lay.shape with
-      | L_prim p ->
-        if off < lay.conv.size_of p then
-          Some { l_prim = p; l_index = base_idx; l_off = base_off }
-        else None (* padding inside an aligned prim slot *)
+      | L_prim p -> if off < lay.conv.size_of p then base_idx else -1
       | L_array { elem; count = _ } ->
         let i = off / elem.lsize in
-        go elem ~off:(off - (i * elem.lsize))
-          ~base_off:(base_off + (i * elem.lsize))
-          ~base_idx:(base_idx + (i * elem.lpcount))
+        go elem ~off:(off - (i * elem.lsize)) ~base_idx:(base_idx + (i * elem.lpcount))
       | L_struct { fields } ->
-        (* Greatest field whose offset is <= off. *)
-        let n = Array.length fields in
-        let rec search lo hi =
-          if lo >= hi then lo - 1
-          else
-            let mid = (lo + hi) / 2 in
-            if fields.(mid).f_off <= off then search (mid + 1) hi else search lo mid
-        in
-        let i = search 0 n in
-        if i < 0 then None
-        else
-          let f = fields.(i) in
-          go f.f_lay ~off:(off - f.f_off) ~base_off:(base_off + f.f_off)
-            ~base_idx:(base_idx + f.f_pstart)
+        (* Greatest field whose offset is <= off; fields start at offset 0. *)
+        let lo = ref 0 and hi = ref (Array.length fields) in
+        while !hi - !lo > 1 do
+          let mid = (!lo + !hi) / 2 in
+          if fields.(mid).f_off <= off then lo := mid else hi := mid
+        done;
+        let f = fields.(!lo) in
+        go f.f_lay ~off:(off - f.f_off) ~base_idx:(base_idx + f.f_pstart)
   in
-  go lay ~off:off0 ~base_off:0 ~base_idx:0
+  go lay ~off:off0 ~base_idx:0
 
-let locate_prim lay idx0 =
-  if idx0 < 0 || idx0 >= lay.lpcount then
-    invalid_arg "Iw_types.locate_prim: index out of range";
-  let rec go lay ~idx ~base_off ~base_idx =
+let offset_of_index lay idx0 =
+  let rec go lay ~idx ~base_off =
     match lay.shape with
-    | L_prim p -> { l_prim = p; l_index = base_idx; l_off = base_off }
+    | L_prim _ -> base_off
     | L_array { elem; count = _ } ->
       let i = idx / elem.lpcount in
-      go elem ~idx:(idx - (i * elem.lpcount))
-        ~base_off:(base_off + (i * elem.lsize))
-        ~base_idx:(base_idx + (i * elem.lpcount))
+      go elem ~idx:(idx - (i * elem.lpcount)) ~base_off:(base_off + (i * elem.lsize))
     | L_struct { fields } ->
-      let n = Array.length fields in
-      let rec search lo hi =
-        if lo >= hi then lo - 1
-        else
-          let mid = (lo + hi) / 2 in
-          if fields.(mid).f_pstart <= idx then search (mid + 1) hi else search lo mid
-      in
-      let f = fields.(search 0 n) in
+      (* Greatest field starting at or before unit [idx]. *)
+      let lo = ref 0 and hi = ref (Array.length fields) in
+      while !hi - !lo > 1 do
+        let mid = (!lo + !hi) / 2 in
+        if fields.(mid).f_pstart <= idx then lo := mid else hi := mid
+      done;
+      let f = fields.(!lo) in
       go f.f_lay ~idx:(idx - f.f_pstart) ~base_off:(base_off + f.f_off)
-        ~base_idx:(base_idx + f.f_pstart)
   in
-  go lay ~idx:idx0 ~base_off:0 ~base_idx:0
+  if idx0 >= lay.lpcount then lay.lsize else go lay ~idx:idx0 ~base_off:0
 
 let fold_prims lay ~from ~upto ~init ~f =
   let rec go lay ~base_off ~base_idx acc =
@@ -279,47 +262,55 @@ type span = {
   s_count : int;
 }
 
+(* A toplevel recursion rather than a local closure, delivering a span's
+   fields as arguments: translation calls this once per diff run, and it
+   allocates nothing. *)
+let rec spans_within lay ~from ~upto ~f ~base_off ~base_idx =
+  let lo = base_idx and hi = base_idx + lay.lpcount in
+  if upto <= lo || from >= hi then ()
+  else
+    match lay.shape with
+    | L_prim p -> f p base_idx base_off lay.lsize 1
+    | L_array { elem = { shape = L_prim p; lsize = stride; _ }; count } ->
+      let first = if from <= lo then 0 else from - base_idx
+      and last = if upto >= hi then count - 1 else upto - 1 - base_idx in
+      f p (base_idx + first) (base_off + (first * stride)) stride (last - first + 1)
+    | L_array { elem; count } ->
+      let first = if from <= lo then 0 else (from - base_idx) / elem.lpcount
+      and last =
+        if upto >= hi then count - 1 else (upto - 1 - base_idx) / elem.lpcount
+      in
+      for i = first to last do
+        spans_within elem ~from ~upto ~f
+          ~base_off:(base_off + (i * elem.lsize))
+          ~base_idx:(base_idx + (i * elem.lpcount))
+      done
+    | L_struct { fields } ->
+      for i = 0 to Array.length fields - 1 do
+        let fl = fields.(i) in
+        spans_within fl.f_lay ~from ~upto ~f ~base_off:(base_off + fl.f_off)
+          ~base_idx:(base_idx + fl.f_pstart)
+      done
+
+let iter_spans lay ~from ~upto f = spans_within lay ~from ~upto ~f ~base_off:0 ~base_idx:0
+
 let fold_spans lay ~from ~upto ~init ~f =
-  let rec go lay ~base_off ~base_idx acc =
-    let lo = base_idx and hi = base_idx + lay.lpcount in
-    if upto <= lo || from >= hi then acc
-    else
-      match lay.shape with
-      | L_prim p ->
-        f acc { s_prim = p; s_index = base_idx; s_off = base_off; s_stride = lay.lsize; s_count = 1 }
-      | L_array { elem = { shape = L_prim p; lsize = stride; _ }; count } ->
-        let first = if from <= lo then 0 else from - base_idx
-        and last = if upto >= hi then count - 1 else upto - 1 - base_idx in
-        f acc
-          {
-            s_prim = p;
-            s_index = base_idx + first;
-            s_off = base_off + (first * stride);
-            s_stride = stride;
-            s_count = last - first + 1;
-          }
-      | L_array { elem; count } ->
-        let first = if from <= lo then 0 else (from - base_idx) / elem.lpcount
-        and last =
-          if upto >= hi then count - 1 else (upto - 1 - base_idx) / elem.lpcount
-        in
-        let acc = ref acc in
-        for i = first to last do
-          acc :=
-            go elem
-              ~base_off:(base_off + (i * elem.lsize))
-              ~base_idx:(base_idx + (i * elem.lpcount))
-              !acc
-        done;
-        !acc
-      | L_struct { fields } ->
-        Array.fold_left
-          (fun acc fl ->
-            go fl.f_lay ~base_off:(base_off + fl.f_off)
-              ~base_idx:(base_idx + fl.f_pstart) acc)
-          acc fields
-  in
-  go lay ~base_off:0 ~base_idx:0 init
+  let acc = ref init in
+  iter_spans lay ~from ~upto (fun s_prim s_index s_off s_stride s_count ->
+      acc := f !acc { s_prim; s_index; s_off; s_stride; s_count });
+  !acc
+
+let locate_prim lay idx =
+  if idx < 0 || idx >= lay.lpcount then
+    invalid_arg "Iw_types.locate_prim: index out of range";
+  let found = ref None in
+  iter_spans lay ~from:idx ~upto:(idx + 1) (fun p _ off _ _ ->
+      found := Some { l_prim = p; l_index = idx; l_off = off });
+  match !found with Some l -> l | None -> assert false (* idx is in range *)
+
+let locate_byte lay off =
+  let i = index_of_byte lay off in
+  if i < 0 then None else Some (locate_prim lay i)
 
 (* Isomorphic descriptors (paper, Sec. 3.3): runs of consecutive struct
    fields of identical primitive type become one array field, and arrays of

@@ -79,6 +79,14 @@ val locate_byte : layout -> int -> located option
 (** [locate_byte lay off] finds the primitive unit whose bytes span local byte
     offset [off].  [None] if [off] falls on alignment padding. *)
 
+val index_of_byte : layout -> int -> int
+(** The primitive offset of the unit {!locate_byte} would find, or [-1];
+    allocates nothing. *)
+
+val offset_of_index : layout -> int -> int
+(** Byte offset of primitive unit [i >= 0] ({!locate_prim}'s [l_off]), or
+    the layout's size for [i] at or past the unit count; allocates nothing. *)
+
 val locate_prim : layout -> int -> located
 (** [locate_prim lay i] finds primitive unit number [i].
     @raise Invalid_argument if [i] is out of range. *)
@@ -103,6 +111,12 @@ val fold_spans :
   layout -> from:int -> upto:int -> init:'a -> f:('a -> span -> 'a) -> 'a
 (** Like {!fold_prims} but delivers arrays of primitives as single spans, so
     translation can run a tight per-type loop over bulk data. *)
+
+val iter_spans :
+  layout -> from:int -> upto:int -> (prim -> int -> int -> int -> int -> unit) -> unit
+(** The spans of {!fold_spans}, in the same order, with each span's fields
+    passed as arguments ([s_prim s_index s_off s_stride s_count]): it
+    allocates nothing, for translation loops that run once per diff run. *)
 
 (** {1 Isomorphic descriptors} *)
 

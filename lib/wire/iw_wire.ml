@@ -130,14 +130,19 @@ end
 
 module Reader = struct
   type t = {
-    data : Bytes.t;
-    limit : int;
+    mutable data : Bytes.t;
+    mutable limit : int;
     mutable pos : int;
   }
 
   let of_bytes data = { data; limit = Bytes.length data; pos = 0 }
 
   let of_string s = of_bytes (Bytes.unsafe_of_string s)
+
+  let reset r s =
+    r.data <- Bytes.unsafe_of_string s;
+    r.limit <- String.length s;
+    r.pos <- 0
 
   let pos r = r.pos
 
@@ -332,7 +337,23 @@ module Diff = struct
         | Create _ | Free _ -> acc)
       0 t.changes
 
+  (* Bytes [encode] writes, less the descriptors. *)
+  let encoded_size t =
+    List.fold_left
+      (fun acc c ->
+        match c with
+        | Update { runs; _ } ->
+          List.fold_left (fun acc r -> acc + 12 + String.length r.payload) (acc + 9) runs
+        | Create { name; payload; _ } ->
+          acc + 14 + String.length payload
+          + (match name with None -> 0 | Some n -> 2 + String.length n)
+        | Free _ -> acc + 5)
+      14 t.changes
+
   let encode buf t =
+    (* Reserve the whole encoding at once: a diff of many runs would
+       otherwise regrow the buffer a dozen times. *)
+    Buf.ensure buf (encoded_size t);
     Buf.u32 buf t.from_version;
     Buf.u32 buf t.to_version;
     Buf.u16 buf (List.length t.new_descs);
@@ -414,89 +435,94 @@ end
 (* Primitive translation between local and wire format. *)
 
 (* Translation iterates spans — maximal runs of identical primitives — so
-   bulk arrays run a tight per-type loop with the dispatch hoisted out. *)
-let collect_prims buf arch lay bytes ~base ~from ~upto ~swizzle =
-  Iw_types.fold_spans lay ~from ~upto ~init:()
-    ~f:(fun () (s : Iw_types.span) ->
-      let off0 = base + s.s_off and stride = s.s_stride and n = s.s_count in
-      match s.s_prim with
-      | Iw_arch.Char ->
-        for i = 0 to n - 1 do
-          Buf.u8 buf (Iw_arch.load_uint arch bytes ~off:(off0 + (i * stride)) ~size:1)
-        done
-      | Short ->
-        for i = 0 to n - 1 do
-          Buf.u16 buf (Iw_arch.load_uint arch bytes ~off:(off0 + (i * stride)) ~size:2)
-        done
-      | Int ->
-        for i = 0 to n - 1 do
-          Buf.u32 buf (Iw_arch.load_uint arch bytes ~off:(off0 + (i * stride)) ~size:4)
-        done
-      | Long ->
-        let size = arch.Iw_arch.long_size in
-        for i = 0 to n - 1 do
-          Buf.u64 buf (Iw_arch.load_sint arch bytes ~off:(off0 + (i * stride)) ~size)
-        done
-      | Float ->
-        for i = 0 to n - 1 do
-          Buf.f32 buf (Iw_arch.load_float arch bytes ~off:(off0 + (i * stride)))
-        done
-      | Double ->
-        for i = 0 to n - 1 do
-          Buf.f64 buf (Iw_arch.load_double arch bytes ~off:(off0 + (i * stride)))
-        done
-      | Pointer ->
-        let size = arch.Iw_arch.pointer_size in
-        for i = 0 to n - 1 do
-          let addr = Iw_arch.load_uint arch bytes ~off:(off0 + (i * stride)) ~size in
-          Buf.string buf (if addr = 0 then "" else swizzle addr)
-        done
-      | String capacity ->
-        for i = 0 to n - 1 do
-          Buf.string buf (Iw_arch.load_cstring bytes ~off:(off0 + (i * stride)) ~capacity)
-        done)
+   bulk arrays run a tight per-type loop with the dispatch hoisted out.
+   Applied up to the value's image, each direction builds its span closure
+   once and returns the per-range translator, so the runs of one block share
+   it. *)
+let collect_prims buf arch lay bytes ~base ~swizzle =
+  let f prim _index off stride n =
+    let off0 = base + off in
+    match prim with
+    | Iw_arch.Char ->
+      for i = 0 to n - 1 do
+        Buf.u8 buf (Iw_arch.load_uint arch bytes ~off:(off0 + (i * stride)) ~size:1)
+      done
+    | Short ->
+      for i = 0 to n - 1 do
+        Buf.u16 buf (Iw_arch.load_uint arch bytes ~off:(off0 + (i * stride)) ~size:2)
+      done
+    | Int ->
+      for i = 0 to n - 1 do
+        Buf.u32 buf (Iw_arch.load_uint arch bytes ~off:(off0 + (i * stride)) ~size:4)
+      done
+    | Long ->
+      let size = arch.Iw_arch.long_size in
+      for i = 0 to n - 1 do
+        Buf.u64 buf (Iw_arch.load_sint arch bytes ~off:(off0 + (i * stride)) ~size)
+      done
+    | Float ->
+      for i = 0 to n - 1 do
+        Buf.f32 buf (Iw_arch.load_float arch bytes ~off:(off0 + (i * stride)))
+      done
+    | Double ->
+      for i = 0 to n - 1 do
+        Buf.f64 buf (Iw_arch.load_double arch bytes ~off:(off0 + (i * stride)))
+      done
+    | Pointer ->
+      let size = arch.Iw_arch.pointer_size in
+      for i = 0 to n - 1 do
+        let addr = Iw_arch.load_uint arch bytes ~off:(off0 + (i * stride)) ~size in
+        Buf.string buf (if addr = 0 then "" else swizzle addr)
+      done
+    | String capacity ->
+      for i = 0 to n - 1 do
+        Buf.string buf (Iw_arch.load_cstring bytes ~off:(off0 + (i * stride)) ~capacity)
+      done
+  in
+  fun ~from ~upto -> Iw_types.iter_spans lay ~from ~upto f
 
-let apply_prims r arch lay bytes ~base ~from ~upto ~unswizzle =
-  Iw_types.fold_spans lay ~from ~upto ~init:()
-    ~f:(fun () (s : Iw_types.span) ->
-      let off0 = base + s.s_off and stride = s.s_stride and n = s.s_count in
-      match s.s_prim with
-      | Iw_arch.Char ->
-        for i = 0 to n - 1 do
-          Iw_arch.store_uint arch bytes ~off:(off0 + (i * stride)) ~size:1 (Reader.u8 r)
-        done
-      | Short ->
-        for i = 0 to n - 1 do
-          Iw_arch.store_uint arch bytes ~off:(off0 + (i * stride)) ~size:2 (Reader.u16 r)
-        done
-      | Int ->
-        for i = 0 to n - 1 do
-          Iw_arch.store_uint arch bytes ~off:(off0 + (i * stride)) ~size:4 (Reader.u32 r)
-        done
-      | Long ->
-        let size = arch.Iw_arch.long_size in
-        for i = 0 to n - 1 do
-          Iw_arch.store_uint arch bytes ~off:(off0 + (i * stride)) ~size (Reader.u64 r)
-        done
-      | Float ->
-        for i = 0 to n - 1 do
-          Iw_arch.store_float arch bytes ~off:(off0 + (i * stride)) (Reader.f32 r)
-        done
-      | Double ->
-        for i = 0 to n - 1 do
-          Iw_arch.store_double arch bytes ~off:(off0 + (i * stride)) (Reader.f64 r)
-        done
-      | Pointer ->
-        let size = arch.Iw_arch.pointer_size in
-        for i = 0 to n - 1 do
-          let mip = Reader.string r in
-          let addr = if mip = "" then 0 else unswizzle mip in
-          Iw_arch.store_uint arch bytes ~off:(off0 + (i * stride)) ~size addr
-        done
-      | String capacity ->
-        for i = 0 to n - 1 do
-          Iw_arch.store_cstring bytes ~off:(off0 + (i * stride)) ~capacity (Reader.string r)
-        done)
+let apply_prims r arch lay bytes ~base ~unswizzle =
+  let f prim _index off stride n =
+    let off0 = base + off in
+    match prim with
+    | Iw_arch.Char ->
+      for i = 0 to n - 1 do
+        Iw_arch.store_uint arch bytes ~off:(off0 + (i * stride)) ~size:1 (Reader.u8 r)
+      done
+    | Short ->
+      for i = 0 to n - 1 do
+        Iw_arch.store_uint arch bytes ~off:(off0 + (i * stride)) ~size:2 (Reader.u16 r)
+      done
+    | Int ->
+      for i = 0 to n - 1 do
+        Iw_arch.store_uint arch bytes ~off:(off0 + (i * stride)) ~size:4 (Reader.u32 r)
+      done
+    | Long ->
+      let size = arch.Iw_arch.long_size in
+      for i = 0 to n - 1 do
+        Iw_arch.store_uint arch bytes ~off:(off0 + (i * stride)) ~size (Reader.u64 r)
+      done
+    | Float ->
+      for i = 0 to n - 1 do
+        Iw_arch.store_float arch bytes ~off:(off0 + (i * stride)) (Reader.f32 r)
+      done
+    | Double ->
+      for i = 0 to n - 1 do
+        Iw_arch.store_double arch bytes ~off:(off0 + (i * stride)) (Reader.f64 r)
+      done
+    | Pointer ->
+      let size = arch.Iw_arch.pointer_size in
+      for i = 0 to n - 1 do
+        let mip = Reader.string r in
+        let addr = if mip = "" then 0 else unswizzle mip in
+        Iw_arch.store_uint arch bytes ~off:(off0 + (i * stride)) ~size addr
+      done
+    | String capacity ->
+      for i = 0 to n - 1 do
+        Iw_arch.store_cstring bytes ~off:(off0 + (i * stride)) ~capacity (Reader.string r)
+      done
+  in
+  fun ~from ~upto -> Iw_types.iter_spans lay ~from ~upto f
 
 let wire_size_of_prims lay ~from ~upto ~strings_as =
   Iw_types.fold_prims lay ~from ~upto ~init:0

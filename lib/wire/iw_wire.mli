@@ -73,6 +73,10 @@ module Reader : sig
   val of_bytes : Bytes.t -> t
   (** The reader aliases the bytes; do not mutate them while reading. *)
 
+  val reset : t -> string -> unit
+  (** Point the reader at the start of another input, so a loop over many
+      small payloads needs one reader. *)
+
   val pos : t -> int
 
   val remaining : t -> int
@@ -177,12 +181,14 @@ val collect_prims :
   Iw_types.layout ->
   Bytes.t ->
   base:int ->
+  swizzle:(int -> string) ->
   from:int ->
   upto:int ->
-  swizzle:(int -> string) ->
   unit
 (** Append the wire encoding of primitive units [from, upto) of the value
-    whose local image starts at byte [base] of the buffer. *)
+    whose local image starts at byte [base] of the buffer.  Applied up to
+    [swizzle], returns a translator to call once per unit range of that
+    value: the setup is paid once, not per range. *)
 
 val apply_prims :
   Reader.t ->
@@ -190,12 +196,13 @@ val apply_prims :
   Iw_types.layout ->
   Bytes.t ->
   base:int ->
+  unswizzle:(string -> int) ->
   from:int ->
   upto:int ->
-  unswizzle:(string -> int) ->
   unit
 (** Inverse of {!collect_prims}: decode units [from, upto) from the reader
-    into the local image. *)
+    into the local image.  Partial application works the same way; point
+    the reader at each range's payload with {!Reader.reset}. *)
 
 val wire_size_of_prims :
   Iw_types.layout -> from:int -> upto:int -> strings_as:int -> int

@@ -238,6 +238,46 @@ let prop_fold_agrees_with_locate =
       let via_locate = List.init n (fun i -> let l = locate_prim lay i in (l.l_index, l.l_off)) in
       via_fold = via_locate)
 
+(* The allocation-free lookups and span iteration agree with [fold_prims]:
+   every byte of a unit maps back to it, padding to -1, each unit's offset
+   is where [fold_prims] puts it, and spans expand to the same units. *)
+let prop_lookups_agree_with_fold =
+  QCheck.Test.make ~name:"index_of_byte/offset_of_index/iter_spans agree with fold_prims"
+    ~count:200
+    QCheck.(pair (make desc_gen) (pair small_nat small_nat))
+    (fun (d, (a, b)) ->
+      List.for_all
+        (fun arch ->
+          let lay = layout (local arch) d in
+          let n = prim_count d in
+          let units =
+            fold_prims lay ~from:0 ~upto:n ~init:[] ~f:(fun acc l -> l :: acc) |> List.rev
+          in
+          let owner = Array.make (size lay) (-1) in
+          List.iter
+            (fun l ->
+              for k = 0 to Iw_arch.prim_size arch l.l_prim - 1 do
+                owner.(l.l_off + k) <- l.l_index
+              done)
+            units;
+          let from = min a n and upto = min n (a + b) in
+          let spanned = ref [] in
+          iter_spans lay ~from ~upto (fun p index off stride count ->
+              for k = 0 to count - 1 do
+                spanned := (p, index + k, off + (k * stride)) :: !spanned
+              done);
+          Array.for_all Fun.id (Array.mapi (fun off i -> index_of_byte lay off = i) owner)
+          && List.for_all (fun l -> offset_of_index lay l.l_index = l.l_off) units
+          && offset_of_index lay n = size lay
+          && List.rev !spanned
+             = List.filter_map
+                 (fun l ->
+                   if l.l_index >= from && l.l_index < upto then
+                     Some (l.l_prim, l.l_index, l.l_off)
+                   else None)
+                 units)
+        Iw_arch.all)
+
 let suite =
   ( "types",
     [
@@ -258,5 +298,6 @@ let suite =
       Alcotest.test_case "registry adopt" `Quick test_registry_adopt;
       Alcotest.test_case "registry names" `Quick test_registry_names;
       QCheck_alcotest.to_alcotest prop_locate_inverse;
+      QCheck_alcotest.to_alcotest prop_lookups_agree_with_fold;
       QCheck_alcotest.to_alcotest prop_fold_agrees_with_locate;
     ] )

@@ -182,9 +182,28 @@ let test_slowlog_disabled () =
   observe_lat t 99.;
   Alcotest.(check int) "k=0 keeps nothing" 0 (List.length (SL.snapshot t))
 
+(* A failed op counts as an error and never as a latency sample. *)
+let test_failed_op_not_timed () =
+  let w = Ycsb_core.new_worker ~idx:0 ~model:"full" in
+  let sched = Unix.gettimeofday () in
+  Ycsb_core.timed_op w ~is_read:true ~sched (fun () -> failwith "refused");
+  Ycsb_core.timed_op w ~is_read:false ~sched (fun () -> raise Exit);
+  Alcotest.(check int) "errors" 2 w.w_errors;
+  Alcotest.(check int) "no latency samples" 0 (Iw_hist.count w.w_lat);
+  Alcotest.(check int) "no read samples" 0 (Iw_hist.count w.w_read);
+  Alcotest.(check int) "no write samples" 0 (Iw_hist.count w.w_write);
+  Ycsb_core.timed_op w ~is_read:true ~sched (fun () -> ());
+  Ycsb_core.timed_op w ~is_read:false ~sched (fun () -> ());
+  Alcotest.(check int) "completed ops timed" 2 (Iw_hist.count w.w_lat);
+  Alcotest.(check int) "one read" 1 (Iw_hist.count w.w_read);
+  Alcotest.(check int) "one write" 1 (Iw_hist.count w.w_write);
+  Alcotest.(check int) "errors unchanged" 2 w.w_errors
+
 let suite =
   ( "ycsb",
     [
+      Alcotest.test_case "failed ops stay out of the histograms" `Quick
+        test_failed_op_not_timed;
       Alcotest.test_case "driver smoke: schema + staleness" `Slow test_driver_smoke;
       Alcotest.test_case "slowlog + top live over tcp" `Slow test_slowlog_and_top_live;
       Alcotest.test_case "slowlog top-K and ordering" `Quick test_slowlog_topk;
