@@ -1,4 +1,4 @@
-.PHONY: all build test check bench-json model race bench-compare clean
+.PHONY: all build test check model race clean
 
 all: build
 
@@ -11,17 +11,6 @@ test:
 # Build everything, run the test suite, and lint the example IDL.
 check:
 	dune build @check
-
-# Quick benchmark run that writes machine-readable results to
-# BENCH_results.json (the harness re-parses the file before exiting 0).
-bench-json:
-	dune exec bench/main.exe -- --quick --json BENCH_results.json
-
-# Gate a fresh benchmark run against the committed baseline: any figure
-# whose median cell-by-cell ratio regresses by more than 20% fails.
-bench-compare:
-	dune exec bench/main.exe -- --quick --json BENCH_new.json
-	dune exec bin/iw_check.exe -- --bench-compare BENCH_results.json BENCH_new.json
 
 # Exhaustively model-check the coherence protocol with crashes enabled
 # (also part of `make check`, at 2 clients).

@@ -2,137 +2,32 @@
 
    Default (no arguments): regenerate every table and figure of the paper's
    evaluation (Figures 4-7) plus the Section 3.3 optimization ablations.
-   Subcommands run one experiment, optionally at reduced size.
-
-   With [--json [PATH]] the harness also writes the measured rows as a
-   machine-readable JSON document (default BENCH_results.json), re-parsing
-   its own output before declaring success so a regression in the encoder
-   fails the run rather than the downstream consumer. *)
-
-module J = Iw_obs_json
+   Subcommands run one experiment, optionally at reduced size. *)
 
 let quick_size quick = if quick then 1 lsl 18 else 1 lsl 20
 
 let eff_size quick = function Some s -> s | None -> quick_size quick
 
-(* JSON rendering of each figure's result rows.  Times are seconds, sizes
-   bytes; field names say which. *)
+let run_fig4 ~quick:_ ~size () = ignore (Fig4.run ~size () : Fig4.row list)
 
-let fig4_json rows =
-  J.Arr
-    (List.map
-       (fun (r : Fig4.row) ->
-         J.Obj
-           [
-             ("shape", J.Str r.Fig4.r_shape);
-             ("xdr_s", J.Num r.Fig4.r_xdr);
-             ("collect_block_s", J.Num r.Fig4.r_collect_block);
-             ("collect_diff_s", J.Num r.Fig4.r_collect_diff);
-             ("apply_block_s", J.Num r.Fig4.r_apply_block);
-             ("apply_diff_s", J.Num r.Fig4.r_apply_diff);
-             ("server_apply_s", J.Num r.Fig4.r_server_apply);
-             ("server_collect_s", J.Num r.Fig4.r_server_collect);
-           ])
-       rows)
+let run_fig5 ~quick:_ ~size () = ignore (Fig5.run ~size () : Fig5.point list)
 
-let fig5_json points =
-  J.Arr
-    (List.map
-       (fun (p : Fig5.point) ->
-         J.Obj
-           [
-             ("ratio", J.num_int p.Fig5.p_ratio);
-             ("word_diff_s", J.Num p.Fig5.p_word_diff);
-             ("translate_s", J.Num p.Fig5.p_translate);
-             ("collect_s", J.Num p.Fig5.p_collect);
-             ("apply_s", J.Num p.Fig5.p_apply);
-             ("server_apply_s", J.Num p.Fig5.p_server_apply);
-             ("server_collect_s", J.Num p.Fig5.p_server_collect);
-             ("bytes_sent", J.num_int p.Fig5.p_bytes);
-           ])
-       points)
-
-let fig6_json points =
-  J.Arr
-    (List.map
-       (fun (p : Fig6.point) ->
-         J.Obj
-           [
-             ("case", J.Str p.Fig6.c_case);
-             ("swizzle_s", J.Num p.Fig6.c_swizzle);
-             ("unswizzle_s", J.Num p.Fig6.c_unswizzle);
-           ])
-       points)
-
-let fig7_json bars =
-  J.Arr
-    (List.map
-       (fun (b : Fig7.bar) ->
-         J.Obj
-           [
-             ("mode", J.Str b.Fig7.b_mode);
-             ("bytes_received", J.num_int b.Fig7.b_bytes);
-             ("round_trips", J.num_int b.Fig7.b_calls);
-           ])
-       bars)
-
-(* Each runner prints its human-readable table (as before) and returns the
-   ["figN" -> rows] sections that go under "figures" in the JSON document. *)
-
-let run_fig4 ~quick:_ ~size () = [ ("fig4", fig4_json (Fig4.run ~size ())) ]
-
-let run_fig5 ~quick:_ ~size () = [ ("fig5", fig5_json (Fig5.run ~size ())) ]
-
-let run_fig6 ~quick:_ ~size:_ () = [ ("fig6", fig6_json (Fig6.run ())) ]
+let run_fig6 ~quick:_ ~size:_ () = ignore (Fig6.run () : Fig6.point list)
 
 let run_fig7 ~quick ~size:_ () =
   let scale = if quick then 0.01 else 0.05 in
   let increments = if quick then 20 else 50 in
-  [ ("fig7", fig7_json (Fig7.run ~scale ~increments ())) ]
+  ignore (Fig7.run ~scale ~increments () : Fig7.bar list)
 
-let run_ablation ~quick:_ ~size:_ () =
-  Ablation.run ();
-  []
-
-let run_bechamel ~quick:_ ~size:_ () =
-  Bechamel_suite.run ();
-  []
-
-(* The macro-benchmark rides the suite at a reduced shape so the committed
-   BENCH_results.json baseline always carries a ycsb section for
-   `iw-check --bench-compare` to gate on.  bench/ycsb.exe is the standalone
-   driver with every knob. *)
-let run_ycsb ~quick ~size:_ () =
-  let cfg =
-    {
-      Ycsb_core.default with
-      Ycsb_core.clients = (if quick then 32 else 64);
-      rate = (if quick then 2000. else 4000.);
-      duration = (if quick then 2. else 4.);
-    }
-  in
-  let r = Ycsb_core.run cfg in
-  [ ("ycsb", r.Ycsb_core.rows); ("phase", r.Ycsb_core.phase_rows) ]
-
-(* Write_release throughput scaling with the sharded server's --domains:
-   dedicated writers, fsync=always, group commit doing the batching. *)
-let run_saturation ~quick ~size:_ () =
-  [ ("saturation", Saturation.json (Saturation.run ~quick ())) ]
+let run_ablation ~quick:_ ~size:_ () = Ablation.run ()
 
 let run_all ~quick ~size () =
   print_endline "InterWeave benchmark suite (paper: Tang et al., ICDCS 2003)";
-  let f4 = run_fig4 ~quick ~size () in
-  let f5 = run_fig5 ~quick ~size () in
-  let f6 = run_fig6 ~quick ~size () in
-  let f7 = run_fig7 ~quick ~size () in
-  let fy = run_ycsb ~quick ~size () in
-  let fs = run_saturation ~quick ~size () in
-  Ablation.run ();
-  f4 @ f5 @ f6 @ f7 @ fy @ fs
-
-(* Atomic (temp + fsync + rename) so an interrupted run can never leave a
-   torn BENCH_results.json baseline; re-parsed before declaring success. *)
-let write_json ~quick ~size path figures = Ycsb_core.write_doc ~quick ~size path figures
+  run_fig4 ~quick ~size ();
+  run_fig5 ~quick ~size ();
+  run_fig6 ~quick ~size ();
+  run_fig7 ~quick ~size ();
+  Ablation.run ()
 
 (* --check-prom rides along with the @check smoke run: drive a tiny
    two-client loopback workload through the per-segment coherence
@@ -220,15 +115,6 @@ let size =
           "Array size in bytes for figures 4 and 5 (default $(b,1048576), or $(b,262144) \
            with $(b,--quick)).")
 
-let json =
-  Arg.(
-    value
-    & opt ~vopt:(Some "BENCH_results.json") (some string) None
-    & info [ "json" ] ~docv:"PATH"
-        ~doc:
-          "Also write results as machine-readable JSON to $(docv) (just $(b,--json) writes \
-           $(b,BENCH_results.json)).")
-
 let check_prom =
   Arg.(
     value
@@ -250,15 +136,11 @@ let store =
 
 let term f =
   Term.(
-    const (fun quick size json prom_check store ->
-        let size = eff_size quick size in
-        let figures = f ~quick ~size () in
-        (match json with
-        | None -> ()
-        | Some path -> write_json ~quick ~size path figures);
+    const (fun quick size prom_check store ->
+        f ~quick ~size:(eff_size quick size) ();
         if prom_check || store <> None then check_prom_gauges ?store ();
         0)
-    $ quick $ size $ json $ check_prom $ store)
+    $ quick $ size $ check_prom $ store)
 
 let cmd_of name doc f = Cmd.v (Cmd.info name ~doc) (term f)
 
@@ -271,11 +153,6 @@ let cmd =
       cmd_of "fig6" "Pointer swizzling costs (Figure 6)" run_fig6;
       cmd_of "fig7" "Datamining bandwidth (Figure 7)" run_fig7;
       cmd_of "ablation" "Optimization ablations (Section 3.3)" run_ablation;
-      cmd_of "bechamel" "Bechamel micro-benchmark suite" run_bechamel;
-      cmd_of "ycsb" "Open-loop YCSB-style macro-benchmark (reduced shape)" run_ycsb;
-      cmd_of "saturation"
-        "Write_release throughput scaling across --domains (group commit)"
-        run_saturation;
     ]
 
 let () = exit (Cmd.eval' cmd)

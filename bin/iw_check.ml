@@ -1,7 +1,8 @@
 (* Standalone driver for the analysis tooling: lints IDL files against every
    (or a chosen set of) machine architecture descriptors, model-checks the
    coherence protocol (--model), lints the OCaml tree's lock discipline
-   (--race), and compares benchmark result documents (--bench-compare).
+   (--race), validates fault plans (--fault-plan) and durability
+   directories (--store).
    Exit status: 0 when clean (notes never fail a run), 1 when errors — or,
    under --Werror, warnings — were reported, 2 on usage or parse failures. *)
 
@@ -19,222 +20,6 @@ let resolve_arches = function
                (String.concat ", " (List.map (fun a -> a.Iw_arch.name) Iw_arch.all))))
     in
     go [] names
-
-(* --bench-schema: structural validation of the benchmark harness's JSON
-   results document (BENCH_results.json), run as part of `dune build @check`
-   so an encoder regression fails the build, not a downstream consumer.
-   Expected shape: { suite: str, paper: str, quick: bool, size_bytes: num,
-   figures: { figN: [ { field: str|num|bool, ... }, ... ], ... } }. *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let bench_schema_errors doc =
-  let module J = Iw_obs_json in
-  let errs = ref [] in
-  let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
-  let field name check =
-    match J.member name doc with
-    | None -> err "missing top-level field %S" name
-    | Some v -> check v
-  in
-  let expect_str name = function J.Str _ -> () | _ -> err "%S must be a string" name in
-  field "suite" (expect_str "suite");
-  field "paper" (expect_str "paper");
-  field "quick" (function J.Bool _ -> () | _ -> err "\"quick\" must be a bool");
-  field "size_bytes" (function J.Num _ -> () | _ -> err "\"size_bytes\" must be a number");
-  field "figures" (function
-    | J.Obj figs ->
-      List.iter
-        (fun (fig, rows) ->
-          match rows with
-          | J.Arr rows ->
-            List.iteri
-              (fun i row ->
-                match row with
-                | J.Obj fields ->
-                  List.iter
-                    (fun (k, v) ->
-                      match v with
-                      | J.Str _ | J.Num _ | J.Bool _ -> ()
-                      | _ -> err "%s[%d].%s: expected scalar" fig i k)
-                    fields;
-                  if fields = [] then err "%s[%d]: empty row object" fig i
-                | _ -> err "%s[%d]: expected an object" fig i)
-              rows
-          | _ -> err "figure %S must be an array of rows" fig)
-        figs;
-      (* The ycsb macro-benchmark section, when present, must carry the
-         fields the regression gate and the README's worked example rely
-         on: an "overall" row with throughput and tail percentiles. *)
-      let series row =
-        match row with
-        | J.Obj fs -> List.assoc_opt "series" fs
-        | _ -> None
-      in
-      (match List.assoc_opt "ycsb" figs with
-      | None | Some (J.Arr []) -> ()
-      | Some (J.Arr rows) -> (
-        match List.find_opt (fun r -> series r = Some (J.Str "overall")) rows with
-        | None -> err "ycsb: missing the \"overall\" series row"
-        | Some (J.Obj fs) ->
-          List.iter
-            (fun k ->
-              match List.assoc_opt k fs with
-              | Some (J.Num _) -> ()
-              | _ -> err "ycsb overall row: missing numeric field %S" k)
-            [
-              "throughput_ops_per_s";
-              "accepted_ops_per_s";
-              "shed";
-              "expired";
-              "p50_us";
-              "p99_us";
-              "p999_us";
-            ]
-        | Some _ -> ())
-      | Some _ -> ());
-      (* The phase figure rides with ycsb: the server-side decomposition of
-         the latency the run measured.  A document carrying a ycsb section
-         must also say where that time went — one row per pipeline phase
-         with its share of the total, plus a "phase:total" row whose
-         coverage_pct says how much of the measured total the phases
-         explain. *)
-      (match (List.assoc_opt "ycsb" figs, List.assoc_opt "phase" figs) with
-      | (None | Some (J.Arr [])), _ -> ()
-      | Some _, None -> err "phase: figure missing (required alongside ycsb)"
-      | Some _, Some (J.Arr rows) ->
-        let require name keys =
-          match List.find_opt (fun r -> series r = Some (J.Str name)) rows with
-          | None -> err "phase: missing the %S series row" name
-          | Some (J.Obj fs) ->
-            List.iter
-              (fun k ->
-                match List.assoc_opt k fs with
-                | Some (J.Num _) -> ()
-                | _ -> err "phase %s row: missing numeric field %S" name k)
-              keys
-          | Some _ -> ()
-        in
-        List.iter
-          (fun ph ->
-            require ("phase:" ^ ph)
-              [ "count"; "sum_us"; "share_pct"; "p50_us"; "p99_us" ])
-          [ "decode"; "lock_wait"; "service"; "wal"; "reply" ];
-        require "phase:total" [ "count"; "sum_us"; "phase_sum_us"; "coverage_pct" ]
-      | Some _, Some _ -> err "figure \"phase\" must be an array of rows");
-      (* The saturation figure, when present, must carry the row identity
-         ("series", e.g. "domains:4") and the throughput the
-         --bench-compare regression gate rides on. *)
-      (match List.assoc_opt "saturation" figs with
-      | None | Some (J.Arr []) -> ()
-      | Some (J.Arr rows) ->
-        List.iteri
-          (fun i row ->
-            match row with
-            | J.Obj fs ->
-              (match List.assoc_opt "series" fs with
-              | Some (J.Str _) -> ()
-              | _ -> err "saturation[%d]: missing string field \"series\"" i);
-              List.iter
-                (fun k ->
-                  match List.assoc_opt k fs with
-                  | Some (J.Num _) -> ()
-                  | _ -> err "saturation[%d]: missing numeric field %S" i k)
-                [ "domains"; "throughput_ops_per_s"; "fsyncs" ]
-            | _ -> ())
-          rows
-      | Some _ -> ())
-    | _ -> err "\"figures\" must be an object");
-  List.rev !errs
-
-let run_bench_schema path =
-  match Iw_obs_json.parse (read_file path) with
-  | exception Sys_error msg ->
-    Printf.eprintf "iw-check: %s\n" msg;
-    2
-  | Error e ->
-    Printf.eprintf "iw-check: %s: invalid JSON: %s\n" path e;
-    1
-  | Ok doc -> (
-    match bench_schema_errors doc with
-    | [] ->
-      Printf.printf "%s: bench schema OK\n" path;
-      0
-    | errs ->
-      List.iter (fun m -> Printf.eprintf "iw-check: %s: %s\n" path m) errs;
-      1)
-
-(* --overload-smoke: gate for the over-capacity ycsb run that rides with
-   @check.  The document must show the overload machinery actually engaged
-   (shed + expired > 0 — the run was really over capacity and the server
-   refused work instead of queueing without bound), that the server kept
-   serving through it (accepted_ops_per_s > 0), and that peak RSS stayed
-   bounded (the admission cap, not the offered load, sizes memory). *)
-let overload_rss_bound_kb = 1_500_000
-
-let run_overload_smoke path =
-  let module J = Iw_obs_json in
-  match J.parse (read_file path) with
-  | exception Sys_error msg ->
-    Printf.eprintf "iw-check: %s\n" msg;
-    2
-  | Error e ->
-    Printf.eprintf "iw-check: %s: invalid JSON: %s\n" path e;
-    1
-  | Ok doc -> (
-    let overall =
-      match J.member "figures" doc with
-      | Some (J.Obj figs) -> (
-        match List.assoc_opt "ycsb" figs with
-        | Some (J.Arr rows) ->
-          List.find_opt
-            (fun r ->
-              match r with
-              | J.Obj fs -> List.assoc_opt "series" fs = Some (J.Str "overall")
-              | _ -> false)
-            rows
-        | _ -> None)
-      | _ -> None
-    in
-    match overall with
-    | None ->
-      Printf.eprintf "iw-check: %s: no ycsb \"overall\" row\n" path;
-      1
-    | Some row ->
-      let num name =
-        match row with
-        | J.Obj fs -> (
-          match List.assoc_opt name fs with Some (J.Num v) -> v | _ -> nan)
-        | _ -> nan
-      in
-      let shed = num "shed" and expired = num "expired" in
-      let accepted = num "accepted_ops_per_s" and rss = num "rss_hwm_kb" in
-      let failures = ref [] in
-      let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-      if Float.is_nan shed || Float.is_nan expired then
-        fail "missing shed/expired cells"
-      else if shed +. expired < 1. then
-        fail "no work was shed or expired — the run never went over capacity";
-      if Float.is_nan accepted || accepted <= 0. then
-        fail "accepted_ops_per_s is %g — the server stopped serving" accepted;
-      if Float.is_nan rss then fail "missing rss_hwm_kb cell"
-      else if rss > float_of_int overload_rss_bound_kb then
-        fail "peak RSS %.0f kB exceeds the %d kB bound — queue memory is unbounded"
-          rss overload_rss_bound_kb;
-      (match List.rev !failures with
-      | [] ->
-        Printf.printf
-          "%s: overload smoke OK (shed %.0f, expired %.0f, accepted %.0f \
-           ops/s, rss %.0f kB)\n"
-          path shed expired accepted rss;
-        0
-      | fs ->
-        List.iter (fun m -> Printf.eprintf "iw-check: %s: %s\n" path m) fs;
-        1))
 
 (* --fault-plan: validate an IW_FAULT / --fault-plan string without running
    anything, so CI and operators can vet a plan before pointing it at a
@@ -486,184 +271,6 @@ let run_race paths werror =
     | Some Iw_lint.Warning when werror -> 1
     | _ -> 0)
 
-(* --bench-compare: regression gate between two benchmark result documents.
-   Per figure, every row of OLD is matched in NEW (by its string/bool
-   fields, or its first numeric field when it has none) and each shared
-   numeric field contributes the ratio new/old; a figure regresses when the
-   median ratio exceeds 1.20 (all benchmark metrics are lower-is-better).
-   Rows or figures missing from NEW fail the comparison outright.
-
-   The ycsb macro-benchmark section is noisier than the micro-benchmarks
-   (it measures an open-loop distributed workload, not a kernel), so only
-   its load-bearing cells are compared at all — throughput and the latency
-   percentiles — and of those, the "overall" row's throughput/p50/p90/p99
-   are additionally gated individually: a regression there must fail even
-   when the figure's median stays flat.  The p999 and per-coherence-model
-   cells come from too few tail samples in a quick run to gate one by one;
-   they feed only the median.  Throughput is higher-is-better; its ratio
-   is inverted (old/new) so the same >1.20 threshold still means
-   "regression". *)
-
-let ycsb_compared_fields =
-  [
-    "throughput_ops_per_s";
-    "accepted_ops_per_s";
-    "p50_us";
-    "p90_us";
-    "p99_us";
-    "p999_us";
-  ]
-
-let ycsb_gated_fields =
-  [ "throughput_ops_per_s"; "accepted_ops_per_s"; "p50_us"; "p90_us"; "p99_us" ]
-
-(* Figures where more is better; their new/old ratio is inverted so the
-   shared >1.20 threshold still reads "regression".  Shed and expired
-   counts are deliberately NOT here (or in the compared list at all): how
-   much an overloaded run sheds is a property of the offered load, not a
-   quality of the build — what must not regress is the throughput of
-   accepted work. *)
-let higher_is_better = [ "throughput_ops_per_s"; "accepted_ops_per_s" ]
-
-(* The phase figure's absolute cells (sums, percentiles, counts) scale with
-   the run length and offered load, so comparing them across documents is
-   noise; only each phase's share of the total is shape-stable, and even
-   that feeds the figure median only (a share shifting between phases is a
-   diagnosis, not automatically a regression). *)
-let phase_compared_fields = [ "share_pct" ]
-
-(* The saturation figure exists to prove Write_release throughput scales
-   with --domains; its wall times, fsync counts, and batch depths are
-   machine-load diagnostics, not claims.  Compare (and gate, per domain
-   count) only the throughput the claim rests on. *)
-let saturation_compared_fields = [ "throughput_ops_per_s" ]
-
-let run_bench_compare old_path new_path =
-  let module J = Iw_obs_json in
-  let parse path =
-    match J.parse (read_file path) with
-    | exception Sys_error msg -> Error msg
-    | Ok doc -> Ok (path, doc)
-    | Error e -> Error (Printf.sprintf "%s: invalid JSON: %s" path e)
-  in
-  match (parse old_path, parse new_path) with
-  | Error e, _ | _, Error e ->
-    Printf.eprintf "iw-check: %s\n" e;
-    2
-  | Ok (_, old_doc), Ok (_, new_doc) -> (
-    let figures doc =
-      match J.member "figures" doc with
-      | Some (J.Obj figs) -> Ok figs
-      | _ -> Error "missing \"figures\" object"
-    in
-    match (figures old_doc, figures new_doc) with
-    | Error e, _ ->
-      Printf.eprintf "iw-check: %s: %s\n" old_path e;
-      2
-    | _, Error e ->
-      Printf.eprintf "iw-check: %s: %s\n" new_path e;
-      2
-    | Ok old_figs, Ok new_figs ->
-      let failures = ref 0 in
-      let fail fmt =
-        incr failures;
-        Printf.ksprintf (fun m -> Printf.eprintf "iw-check: %s\n" m) fmt
-      in
-      let rows = function J.Arr rows -> rows | _ -> [] in
-      let fields = function J.Obj fs -> fs | _ -> [] in
-      (* A row's identity: its scalar non-numeric fields, or its first
-         numeric field (e.g. fig5's leading "ratio") when it has none. *)
-      let row_key row =
-        let fs = fields row in
-        match
-          List.filter (fun (_, v) -> match v with J.Str _ | J.Bool _ -> true | _ -> false) fs
-        with
-        | [] -> (
-          match List.find_opt (fun (_, v) -> match v with J.Num _ -> true | _ -> false) fs with
-          | Some (k, v) -> [ (k, v) ]
-          | None -> [])
-        | keys -> keys
-      in
-      let key_to_string key =
-        String.concat ","
-          (List.map
-             (fun (k, v) ->
-               Printf.sprintf "%s=%s" k
-                 (match v with
-                 | J.Str s -> s
-                 | J.Bool b -> string_of_bool b
-                 | J.Num n -> Printf.sprintf "%g" n
-                 | _ -> "?"))
-             key)
-      in
-      List.iter
-        (fun (fig, old_rows) ->
-          match List.assoc_opt fig new_figs with
-          | None -> fail "figure %s missing from %s" fig new_path
-          | Some new_rows ->
-            let new_rows = rows new_rows in
-            let ratios = ref [] in
-            List.iter
-              (fun old_row ->
-                let key = row_key old_row in
-                match
-                  List.find_opt (fun r -> row_key r = key) new_rows
-                with
-                | None ->
-                  fail "%s: row [%s] missing from %s" fig (key_to_string key) new_path
-                | Some new_row ->
-                  List.iter
-                    (fun (k, ov) ->
-                      match (ov, List.assoc_opt k (fields new_row)) with
-                      | J.Num ov, Some (J.Num nv) when not (List.mem_assoc k key) ->
-                        if
-                          (fig <> "ycsb" || List.mem k ycsb_compared_fields)
-                          && (fig <> "phase" || List.mem k phase_compared_fields)
-                          && (fig <> "saturation"
-                             || List.mem k saturation_compared_fields)
-                        then begin
-                          let eps = 1e-9 in
-                          let r = (nv +. eps) /. (ov +. eps) in
-                          let r = if List.mem k higher_is_better then 1. /. r else r in
-                          if
-                            fig = "ycsb"
-                            && List.assoc_opt "series" key = Some (J.Str "overall")
-                            && List.mem k ycsb_gated_fields
-                            && r > 1.20
-                          then
-                            fail "ycsb: [%s] %s ratio %.3f exceeds 1.20 — regression"
-                              (key_to_string key) k r;
-                          if fig = "saturation" && r > 1.20 then
-                            fail
-                              "saturation: [%s] %s ratio %.3f exceeds 1.20 — \
-                               regression"
-                              (key_to_string key) k r;
-                          ratios := r :: !ratios
-                        end
-                      | _ -> ())
-                    (fields old_row))
-              (rows old_rows);
-            (match List.sort compare !ratios with
-            | [] -> ()
-            | sorted ->
-              let n = List.length sorted in
-              let median =
-                if n mod 2 = 1 then List.nth sorted (n / 2)
-                else (List.nth sorted ((n / 2) - 1) +. List.nth sorted (n / 2)) /. 2.
-              in
-              if median > 1.20 then
-                fail "%s: median ratio %.3f over %d cell(s) exceeds 1.20 — regression"
-                  fig median n
-              else
-                Printf.printf "%s: median ratio %.3f over %d cell(s) — OK\n" fig median
-                  n))
-        old_figs;
-      if !failures = 0 then begin
-        Printf.printf "bench-compare: %s -> %s: OK\n" old_path new_path;
-        0
-      end
-      else 1)
-
 let run files json werror arch_names =
   match resolve_arches arch_names with
   | Error msg ->
@@ -713,28 +320,7 @@ let files =
     value & pos_all string []
     & info [] ~docv:"FILE"
         ~doc:
-          "IDL files to lint; .ml trees for --race; OLD.json NEW.json for \
-           --bench-compare.")
-
-let bench_schema =
-  Arg.(
-    value
-    & opt (some file) None
-    & info [ "bench-schema" ] ~docv:"RESULTS.json"
-        ~doc:
-          "Validate the structure of a benchmark results document \
-           (BENCH_results.json) instead of linting IDL files.")
-
-let overload_smoke =
-  Arg.(
-    value
-    & opt (some file) None
-    & info [ "overload-smoke" ] ~docv:"RESULTS.json"
-        ~doc:
-          "Gate an over-capacity benchmark document: the ycsb \"overall\" \
-           row must show shed or expired work (the server refused load \
-           instead of queueing it), a nonzero accepted throughput, and a \
-           bounded peak RSS.")
+          "IDL files to lint; .ml trees for --race.")
 
 let fault_plan =
   Arg.(
@@ -773,7 +359,7 @@ let arch_names =
         ~doc:"Architecture(s) to check layouts against (repeatable; default: all).")
 
 (* --lint is the default mode; the flag exists so invocations read naturally
-   alongside --model / --race / --bench-compare. *)
+   alongside --model / --race. *)
 let lint_flag =
   Arg.(value & flag & info [ "lint" ] ~doc:"Run the IDL lint pass (the default).")
 
@@ -874,54 +460,33 @@ let race_flag =
           "Run the source-level lock-discipline lint (LCK001-LCK004) over \
            the .ml trees given as positional arguments (default: lib bin).")
 
-let bench_compare_flag =
-  Arg.(
-    value & flag
-    & info [ "bench-compare" ]
-        ~doc:
-          "Compare two benchmark result documents (positional: OLD.json \
-           NEW.json); exit 1 when any figure's median new/old ratio exceeds \
-           1.20 or a row disappeared.")
-
 let cmd =
-  let doc = "static checks for InterWeave: IDL lint, protocol model checker, lock-discipline lint, benchmark gates" in
+  let doc = "static checks for InterWeave: IDL lint, protocol model checker, lock-discipline lint, fault-plan and store validation" in
   Cmd.v
     (Cmd.info "iw-check" ~doc)
     Term.(
       const
-        (fun files json werror arches _lint bench_schema overload_smoke fault_plan
-             store model depth crash clients segments seed broken coherence queue
-             replay race bench_compare ->
+        (fun files json werror arches _lint fault_plan store model depth crash
+             clients segments seed broken coherence queue replay race ->
           if race then run_race files werror
           else if model || replay <> None then
             run_model ~clients ~segments ~depth ~crash ~seed ~broken ~coherence ~queue
               ~replay_sched:replay
-          else if bench_compare then
-            match files with
-            | [ old_path; new_path ] -> run_bench_compare old_path new_path
-            | _ ->
-              Printf.eprintf "iw-check: --bench-compare needs exactly OLD.json NEW.json\n";
-              2
           else
-            match (fault_plan, bench_schema, overload_smoke, store) with
-            | Some plan, _, _, _ -> run_fault_plan plan
-            | None, Some path, _, _ -> run_bench_schema path
-            | None, None, Some path, _ -> run_overload_smoke path
-            | None, None, None, Some dir -> run_store dir
-            | None, None, None, None ->
+            match (fault_plan, store) with
+            | Some plan, _ -> run_fault_plan plan
+            | None, Some dir -> run_store dir
+            | None, None ->
               if files = [] then begin
                 Printf.eprintf
                   "iw-check: no IDL files given (and no --model, --race, \
-                   --bench-compare, --bench-schema, --overload-smoke, \
                    --fault-plan, or --store)\n";
                 2
               end
               else run files json werror arches)
-      $ files $ json $ werror $ arch_names $ lint_flag $ bench_schema
-      $ overload_smoke $ fault_plan
-      $ store_dir $ model_flag $ model_depth $ model_crash $ model_clients
-      $ model_segments $ model_seed $ model_broken $ model_coherence $ model_queue
-      $ model_replay $ race_flag
-      $ bench_compare_flag)
+      $ files $ json $ werror $ arch_names $ lint_flag $ fault_plan $ store_dir
+      $ model_flag $ model_depth $ model_crash $ model_clients $ model_segments
+      $ model_seed $ model_broken $ model_coherence $ model_queue $ model_replay
+      $ race_flag)
 
 let () = exit (Cmd.eval' cmd)

@@ -1,5 +1,5 @@
 (* iw-check CLI edge cases: exit codes and one-line errors for bad inputs,
-   plus end-to-end runs of the --model / --race / --bench-compare modes.
+   plus end-to-end runs of the --model / --race modes.
    Each case spawns the real executable, the same way operators and
    `dune build @check` invoke it. *)
 
@@ -57,15 +57,6 @@ let test_missing_idl () =
   Alcotest.(check int) "one line" 1 (line_count err);
   Alcotest.(check bool) ("names the path: " ^ err) true
     (contains err "definitely-not-here.idl")
-
-let test_malformed_bench_schema () =
-  let path = Filename.temp_file "bench" ".json" in
-  write_file path "{ \"suite\": oops";
-  let code, _, err = iw_check [ "--bench-schema"; path ] in
-  Sys.remove path;
-  Alcotest.(check int) "exit 1" 1 code;
-  Alcotest.(check int) "one line" 1 (line_count err);
-  Alcotest.(check bool) ("says invalid JSON: " ^ err) true (contains err "invalid JSON")
 
 let test_store_not_a_dir () =
   let code, _, err = iw_check [ "--store"; "definitely/not/a/dir" ] in
@@ -140,57 +131,15 @@ let test_race_fixture () =
   Alcotest.(check int) "missing path: exit 2" 2 code;
   Alcotest.(check bool) ("names it: " ^ err) true (contains err "no-such-subdir")
 
-let bench_doc rows =
-  Printf.sprintf
-    "{\"suite\":\"iw\",\"paper\":\"x\",\"quick\":true,\"size_bytes\":1,\
-     \"figures\":{\"fig4\":[%s]}}"
-    (String.concat "," rows)
-
-let test_bench_compare () =
-  let old_path = Filename.temp_file "old" ".json" in
-  let new_path = Filename.temp_file "new" ".json" in
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.remove old_path;
-      Sys.remove new_path)
-  @@ fun () ->
-  let row shape a b = Printf.sprintf "{\"shape\":\"%s\",\"xdr_s\":%g,\"collect_s\":%g}" shape a b in
-  write_file old_path (bench_doc [ row "list" 1.0 2.0; row "tree" 3.0 4.0 ]);
-  (* within 20%: passes *)
-  write_file new_path (bench_doc [ row "list" 1.1 2.1; row "tree" 3.1 4.1 ]);
-  let code, out, _ = iw_check [ "--bench-compare"; old_path; new_path ] in
-  Alcotest.(check int) "within tolerance: exit 0" 0 code;
-  Alcotest.(check bool) ("reports medians: " ^ out) true (contains out "median ratio");
-  (* >20% median regression: fails *)
-  write_file new_path (bench_doc [ row "list" 1.5 3.0; row "tree" 4.5 6.0 ]);
-  let code, _, err = iw_check [ "--bench-compare"; old_path; new_path ] in
-  Alcotest.(check int) "regression: exit 1" 1 code;
-  Alcotest.(check bool) ("names the figure: " ^ err) true (contains err "fig4");
-  (* a vanished row fails outright *)
-  write_file new_path (bench_doc [ row "list" 1.0 2.0 ]);
-  let code, _, err = iw_check [ "--bench-compare"; old_path; new_path ] in
-  Alcotest.(check int) "missing row: exit 1" 1 code;
-  Alcotest.(check bool) ("names the row: " ^ err) true (contains err "tree");
-  (* malformed NEW: usage/parse failure *)
-  write_file new_path "{";
-  let code, _, _ = iw_check [ "--bench-compare"; old_path; new_path ] in
-  Alcotest.(check int) "bad JSON: exit 2" 2 code;
-  (* wrong arity *)
-  let code, _, _ = iw_check [ "--bench-compare"; old_path ] in
-  Alcotest.(check int) "one file: exit 2" 2 code
-
 let suite =
   ( "cli",
     [
       Alcotest.test_case "no args" `Quick test_no_args;
       Alcotest.test_case "missing IDL path" `Quick test_missing_idl;
-      Alcotest.test_case "malformed --bench-schema JSON" `Quick
-        test_malformed_bench_schema;
       Alcotest.test_case "nonexistent --store dir" `Quick test_store_not_a_dir;
       Alcotest.test_case "--model clean run" `Quick test_model_clean;
       Alcotest.test_case "--model broken variant counterexample" `Quick
         test_model_broken_counterexample;
       Alcotest.test_case "--model flag validation" `Quick test_model_bad_flags;
       Alcotest.test_case "--race fixtures and exit codes" `Quick test_race_fixture;
-      Alcotest.test_case "--bench-compare gate" `Quick test_bench_compare;
     ] )

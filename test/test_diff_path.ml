@@ -1,8 +1,8 @@
 (* The sparse-diff path end to end: golden digests of the wire encoding of
    diffs collected by fixed seeded schedules (so a faster collect, codec or
    apply cannot change a byte on the wire), a reader's memory equal to the
-   writer's after every release, and the paper's Fig. 5 signature 2 pinned
-   as run counts. *)
+   writer's after every release, and the paper's four Fig. 5 signatures
+   pinned as run counts, twinned pages and payload bytes. *)
 
 module D = Iw_wire.Diff
 
@@ -329,16 +329,26 @@ let test_golden sc () =
         expected got)
     pairs
 
+(* One Fig. 5 ratio: the diff the writer sent and the one the reader
+   received, the pages the writer twinned, and the minor words spent
+   outside the server by the writer's release (word diff, translate and the
+   diff's wire encoding) and by the reader's acquire (decode and apply of
+   the reply's diff after a wire round trip). *)
+type fig5_point = {
+  ratio : int;
+  sent : D.t;
+  received : D.t;
+  twin_pages : int;
+  release_words : float;
+  acquire_words : float;
+}
+
 (* Fig. 5 at 256 KB: an x86_32 writer rewrites every [ratio]-th int of a
-   65,536-int array and an alpha64 reader acquires after each release.  For
-   each ratio, returns the diff sent and the minor words spent outside the
-   server: by the writer's release (word diff, translate and the diff's
-   wire encoding) and by the reader's acquire (decode and apply of the
-   reply's diff after a wire round trip). *)
-let fig5_array ratios =
+   65,536-int array and an alpha64 reader acquires after each release. *)
+let fig5_array ?diff_cache_capacity ratios =
   let words = 65536 in
-  let server = Iw_server.create () in
-  let excluded = ref 0. and sent = ref None in
+  let server = Iw_server.create ?diff_cache_capacity () in
+  let excluded = ref 0. and sent = ref None and received = ref None in
   let server_call ?ctx req =
     let w0 = Gc.minor_words () in
     let resp = (Iw_server.direct_link server).call ?ctx req in
@@ -359,7 +369,9 @@ let fig5_array ratios =
     let w0 = Gc.minor_words () in
     let wire = encode diff in
     excluded := !excluded +. (Gc.minor_words () -. w0);
-    D.decode (Iw_wire.Reader.of_string wire)
+    let diff = D.decode (Iw_wire.Reader.of_string wire) in
+    received := Some diff;
+    diff
   in
   let reader_call ?ctx req =
     match server_call ?ctx req with
@@ -370,6 +382,8 @@ let fig5_array ratios =
   let link call = { (Iw_server.direct_link server) with Iw_proto.call } in
   let w = Iw_client.connect ~arch:Iw_arch.x86_32 (link writer_call) in
   let r = Iw_client.connect ~arch:Iw_arch.alpha64 (link reader_call) in
+  (* Large diffs must not switch the writer to whole-block mode. *)
+  (Iw_client.options w).auto_no_diff <- false;
   let seg = Iw_client.open_segment w "fig5/array" in
   Iw_client.wl_acquire seg;
   let base = Iw_client.malloc ~name:"data" seg (Iw_types.Array (Prim Int, words)) in
@@ -382,6 +396,7 @@ let fig5_array ratios =
   Iw_client.rl_release rseg;
   List.mapi
     (fun k ratio ->
+      let twins0 = (Iw_client.stats w).twin_pages in
       Iw_client.wl_acquire seg;
       let i = ref 0 in
       while !i < words do
@@ -392,12 +407,20 @@ let fig5_array ratios =
       let w0 = Gc.minor_words () in
       Iw_client.wl_release seg;
       let release_words = Gc.minor_words () -. w0 -. !excluded in
+      let twin_pages = (Iw_client.stats w).twin_pages - twins0 in
       excluded := 0.;
       let r0 = Gc.minor_words () in
       Iw_client.rl_acquire rseg;
       let acquire_words = Gc.minor_words () -. r0 -. !excluded in
       Iw_client.rl_release rseg;
-      (ratio, Option.get !sent, release_words, acquire_words))
+      {
+        ratio;
+        sent = Option.get !sent;
+        received = Option.get !received;
+        twin_pages;
+        release_words;
+        acquire_words;
+      })
     ratios
 
 let runs_of (diff : D.t) =
@@ -408,7 +431,7 @@ let runs_of (diff : D.t) =
    differently. *)
 let test_fig5_signature2 () =
   match fig5_array [ 2; 4 ] with
-  | [ (_, at2, _, _); (_, at4, _, _) ] ->
+  | [ { sent = at2; _ }; { sent = at4; _ } ] ->
     Alcotest.(check int) "ratio 2: one run" 1 (List.length (runs_of at2));
     let runs = runs_of at4 in
     Alcotest.(check int) "ratio 4: 16,384 runs" 16384 (List.length runs);
@@ -416,6 +439,64 @@ let test_fig5_signature2 () =
       (List.for_all (fun (run : D.run) -> run.len_pu = 1) runs);
     Alcotest.(check int) "ratio 4: 64 KB of payload" 65536 (D.payload_bytes at4)
   | _ -> assert false
+
+(* Fig. 5 signatures 1, 3 and 4 as counts, with the diff cache off so the
+   reader's update is the server's own collection.  Per ratio: pages the
+   writer twinned, the writer's diff payload, and the reader's update
+   payload, in bytes: a change here is a change to what the diff path
+   twins or sends. *)
+let fig5_counts =
+  [
+    (1, 64, 262144, 262144);
+    (2, 64, 262144, 262144);
+    (4, 64, 65536, 262144);
+    (8, 64, 32768, 262144);
+    (16, 64, 16384, 262144);
+    (32, 64, 8192, 131072);
+    (64, 64, 4096, 65536);
+    (128, 64, 2048, 32768);
+    (256, 64, 1024, 16384);
+    (512, 64, 512, 8192);
+    (1024, 64, 256, 4096);
+    (2048, 32, 128, 2048);
+    (4096, 16, 64, 1024);
+    (8192, 8, 32, 512);
+    (16384, 4, 16, 256);
+  ]
+
+let test_fig5_signatures () =
+  let points =
+    fig5_array ~diff_cache_capacity:0 (List.map (fun (r, _, _, _) -> r) fig5_counts)
+  in
+  let got =
+    List.map
+      (fun p -> (p.ratio, p.twin_pages, D.payload_bytes p.sent, D.payload_bytes p.received))
+      points
+  in
+  let nest (r, t, w, rd) = (r, (t, w, rd)) in
+  Alcotest.(check (list (pair int (triple int int int))))
+    "ratio -> twin pages, writer payload, reader payload"
+    (List.map nest fig5_counts) (List.map nest got);
+  let at ratio = List.find (fun (r, _, _, _) -> r = ratio) got in
+  List.iter
+    (fun (r, t, w, rd) ->
+      (* Signature 1: every page is twinned until the stride passes a page
+         (1024 ints), then each doubling halves the pages. *)
+      Alcotest.(check int) (Printf.sprintf "ratio %d: twinned pages" r)
+        (if r <= 1024 then 64 else 64 * 1024 / r)
+        t;
+      (* Signature 3: the server tracks 16-unit subblocks, so the reader's
+         update is the whole array up to ratio 16. *)
+      if r <= 16 then
+        Alcotest.(check int) (Printf.sprintf "ratio %d: reader payload flat" r) 262144 rd;
+      (* Signature 4: from ratio 16 on, each doubling halves both payloads. *)
+      if r > 16 then begin
+        let _, _, w', rd' = at (r / 2) in
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "ratio %d: payloads halve" r)
+          (w' / 2, rd' / 2) (w, rd)
+      end)
+    got
 
 (* Minor words per run of the ratio-4 diff: the measured value plus 25%.
    Collect and encode measure 18.06 words per run: the byte-run list (9) and
@@ -428,8 +509,8 @@ let acquire_budget = 11.25
 
 let test_alloc_budget () =
   match fig5_array [ 4 ] with
-  | [ (_, diff, release_words, acquire_words) ] ->
-    let runs = float_of_int (List.length (runs_of diff)) in
+  | [ { sent; release_words; acquire_words; _ } ] ->
+    let runs = float_of_int (List.length (runs_of sent)) in
     let per what words budget =
       let w = words /. runs in
       if w > budget then
@@ -439,6 +520,52 @@ let test_alloc_budget () =
     per "decode + apply" acquire_words acquire_budget
   | _ -> assert false
 
+(* Fig. 4's one timed invariant: for fixed-size primitives the server's
+   copy is byte-blittable, so applying a 1 MB whole-block update on the
+   server costs a fraction of the client's collect.  Medians of 5 rounds;
+   measured at more than 10x, asserted at 4x. *)
+let fig4_server_vs_client prim elem_bytes write =
+  let server = Iw_server.create ~diff_cache_capacity:0 () in
+  let c = Interweave.direct_client ~arch:Iw_arch.x86_32 server in
+  (Iw_client.options c).auto_no_diff <- false;
+  let seg = Iw_client.open_segment c "fig4/array" in
+  let n = (1 lsl 20) / elem_bytes in
+  Iw_client.wl_acquire seg;
+  let base = Iw_client.malloc ~name:"data" seg (Iw_types.Array (Prim prim, n)) in
+  Iw_client.wl_release seg;
+  Iw_client.set_no_diff seg true;
+  let st = Iw_client.stats c in
+  let rounds =
+    List.init 5 (fun round ->
+        Iw_client.wl_acquire seg;
+        for i = 0 to n - 1 do
+          write c (base + (elem_bytes * i)) (i + round)
+        done;
+        let c0 = st.word_diff_seconds +. st.translate_seconds in
+        let t0 = Unix.gettimeofday () in
+        Iw_client.wl_release seg;
+        let wall = Unix.gettimeofday () -. t0 in
+        let collect = st.word_diff_seconds +. st.translate_seconds -. c0 in
+        (collect, wall -. collect))
+  in
+  let median l = List.nth (List.sort compare l) (List.length l / 2) in
+  (median (List.map fst rounds), median (List.map snd rounds))
+
+let test_fig4_server_apply () =
+  List.iter
+    (fun (name, prim, elem_bytes, write) ->
+      let collect, server_apply = fig4_server_vs_client prim elem_bytes write in
+      if server_apply *. 4. > collect then
+        Alcotest.failf "%s: server apply %.3f ms is not 4x under client collect %.3f ms"
+          name (server_apply *. 1e3) (collect *. 1e3))
+    [
+      ("int_array", Iw_arch.Int, 4, Iw_client.write_int);
+      ( "double_array",
+        Iw_arch.Double,
+        8,
+        fun c a i -> Iw_client.write_double c a (float_of_int i) );
+    ]
+
 let suite =
   ( "diff path",
     List.map
@@ -446,5 +573,9 @@ let suite =
       scenarios
     @ [
         Alcotest.test_case "fig5 signature 2 as run counts" `Quick test_fig5_signature2;
+        Alcotest.test_case "fig5 signatures 1, 3 and 4 as counts" `Quick
+          test_fig5_signatures;
         Alcotest.test_case "allocation per run" `Quick test_alloc_budget;
+        Alcotest.test_case "fig4 server apply 4x under client collect" `Quick
+          test_fig4_server_apply;
       ] )

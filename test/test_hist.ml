@@ -1,5 +1,5 @@
-(* Iw_hist: the HDR-style histogram behind the YCSB harness and the
-   slow-path percentile reporting.  The load-bearing property is the error
+(* Iw_hist: the HDR-style histogram behind the benchmark's latencies and
+   the slow-path percentile reporting.  The load-bearing property is the error
    bound: every reported quantile must be within [Iw_hist.error t] (relative)
    of the exact quantile of the recorded multiset, at any magnitude. *)
 

@@ -1,5 +1,5 @@
-(* The datamining substrate: deterministic generation and correct shared
-   lattice mining. *)
+(* The datamining substrate: deterministic generation, correct shared
+   lattice mining, and the paper's Fig. 7 bandwidth ordering. *)
 
 module Prng = Iw_seqmine.Prng
 module Gen = Iw_seqmine.Gen
@@ -149,6 +149,62 @@ let test_node_desc_pointer_fraction () =
     true
     (fraction >= 0.25 && fraction <= 0.45)
 
+(* Fig. 7 at the benchmark's default scale: a database client grows the
+   lattice by 50 increments of 1% after building it from half the
+   database, and after every increment each mining client reads.  Bytes
+   received must fall strictly from a cacheless full fetch, through diffs
+   at every version, to Delta-2, 3 and 4; diffs save at least 80%. *)
+let test_fig7_bandwidth () =
+  let params = Gen.scaled 0.05 in
+  let db = Gen.generate params in
+  let server = Interweave.start_server () in
+  let writer = Interweave.direct_client ~arch:Iw_arch.x86_32 server in
+  let lattice =
+    Lattice.create writer ~segment:"mining/summary"
+      ~min_support:(max 5 (params.Gen.customers / 250))
+  in
+  let half = params.Gen.customers / 2 in
+  Lattice.update lattice db ~from_customer:0 ~to_customer:half;
+  let attach c = Lattice.segment (Lattice.attach c ~segment:"mining/summary") in
+  let readers =
+    List.map
+      (fun coherence ->
+        let c = Interweave.direct_client ~arch:Iw_arch.alpha64 server in
+        let seg = attach c in
+        Interweave.set_coherence seg coherence;
+        Iw_client.rl_acquire seg;
+        Iw_client.rl_release seg;
+        Iw_client.reset_stats c;
+        (c, seg))
+      Iw_proto.[ Full; Delta 2; Delta 3; Delta 4 ]
+  in
+  let full = ref 0 in
+  let one_pct = params.Gen.customers / 100 in
+  for inc = 0 to 49 do
+    let from = half + (inc * one_pct) in
+    Lattice.update lattice db ~from_customer:from ~to_customer:(from + one_pct);
+    List.iter
+      (fun (_, seg) ->
+        Iw_client.rl_acquire seg;
+        Iw_client.rl_release seg)
+      readers;
+    let fresh = Interweave.direct_client server in
+    let seg = attach fresh in
+    Iw_client.rl_acquire seg;
+    Iw_client.rl_release seg;
+    full := !full + (Iw_client.stats fresh).bytes_received
+  done;
+  let bytes = !full :: List.map (fun (c, _) -> (Iw_client.stats c).bytes_received) readers in
+  let rec decreasing = function a :: (b :: _ as rest) -> a > b && decreasing rest | _ -> true in
+  let shown = String.concat " > " (List.map string_of_int bytes) in
+  Alcotest.(check bool) ("Full > Diff-only > Delta-2 > Delta-3 > Delta-4: " ^ shown) true
+    (decreasing bytes);
+  let diff_only = List.nth bytes 1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "Diff-only %d <= 20%% of Full %d" diff_only !full)
+    true
+    (5 * diff_only <= !full)
+
 let suite =
   ( "seqmine",
     [
@@ -161,4 +217,5 @@ let suite =
       Alcotest.test_case "incremental equals batch" `Quick test_incremental_equals_batch;
       Alcotest.test_case "shared across clients" `Quick test_shared_across_clients;
       Alcotest.test_case "node pointer fraction" `Quick test_node_desc_pointer_fraction;
+      Alcotest.test_case "fig7 bandwidth ordering" `Slow test_fig7_bandwidth;
     ] )

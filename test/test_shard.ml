@@ -471,6 +471,101 @@ let test_overload_shed_and_urgent_lane () =
     (labelled_counter t "iw_server_shed_total" "reason" "read_only" >= 1.);
   Iw_server.shutdown t
 
+(* Overload through the whole client stack: 32 loopback clients with call
+   timeouts drive a closed read/write loop for 2 s at a two-shard server
+   whose shard 0 is slowed 5 ms per request behind an 8-deep mailbox —
+   far more than shard 0 can serve.  The server must refuse work (shed or
+   expired) yet keep serving, peak RSS must stay under 1.5 GB, and shard
+   0's mailbox may pass its cap only by the urgent-lane requests in
+   flight.  Clients connect before the load and never subscribe, so their
+   only urgent requests under load are the releases counted here. *)
+let test_overload_through_client_stack () =
+  let queue_max = 8 and clients = 32 and segments = 4 in
+  Unix.putenv "IW_FAULT" "slow@shard=0:5ms";
+  let t =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "IW_FAULT" "")
+      (fun () -> Iw_server.create ~domains:2 ~queue_max ~lease_secs:30.0 ())
+  in
+  let seg_name i = Printf.sprintf "overload/seg-%d" i in
+  let setup = Interweave.loopback_client t in
+  for i = 0 to segments - 1 do
+    let h = Interweave.open_segment setup (seg_name i) in
+    Iw_client.wl_acquire h;
+    ignore (Interweave.malloc ~name:"n" h (int_array 8) : int);
+    Iw_client.wl_release h
+  done;
+  Iw_client.disconnect setup;
+  (* Connect everyone before the load starts, so the only urgent requests
+     under load are the releases counted below. *)
+  let conns =
+    List.init clients (fun _ ->
+        let c = Interweave.loopback_client ~call_timeout:1.0 t in
+        (Iw_client.options c).auto_subscribe <- false;
+        ( c,
+          Array.init segments (fun i ->
+              ( Interweave.open_segment ~create:false c (seg_name i),
+                Iw_client.mip_to_ptr c (seg_name i ^ "#n#0") )) ))
+  in
+  let accepted = Atomic.make 0 in
+  let urgent = Atomic.make 0 and urgent_peak = Atomic.make 0 in
+  let release h =
+    let n = Atomic.fetch_and_add urgent 1 + 1 in
+    let rec raise_peak () =
+      let p = Atomic.get urgent_peak in
+      if n > p && not (Atomic.compare_and_set urgent_peak p n) then raise_peak ()
+    in
+    raise_peak ();
+    Fun.protect ~finally:(fun () -> Atomic.decr urgent) (fun () -> Iw_client.wl_release h)
+  in
+  let stop_at = Unix.gettimeofday () +. 2.0 in
+  let worker (k, (c, segs)) =
+    let rng = Random.State.make [| k |] in
+    while Unix.gettimeofday () < stop_at do
+      let h, a = segs.(Random.State.int rng segments) in
+      match
+        if Random.State.bool rng then begin
+          Iw_client.rl_acquire h;
+          ignore (Iw_client.read_int c a : int);
+          Iw_client.rl_release h
+        end
+        else begin
+          Iw_client.wl_acquire h;
+          Iw_client.write_int c a k;
+          release h
+        end
+      with
+      | () -> Atomic.incr accepted
+      | exception _ -> () (* shed past the retry budget, or timed out *)
+    done;
+    try Iw_client.disconnect c with _ -> ()
+  in
+  List.iter Thread.join (List.mapi (fun k conn -> Thread.create worker (k, conn)) conns);
+  let shed =
+    labelled_counter t "iw_server_shed_total" "reason" "queue_full"
+    +. labelled_counter t "iw_server_shed_total" "reason" "read_only"
+  and expired =
+    labelled_counter t "iw_server_expired_total" "phase" "queue"
+    +. labelled_counter t "iw_server_expired_total" "phase" "wal"
+  in
+  let hwm =
+    match
+      Iw_metrics.find
+        (Iw_metrics.snapshot (Iw_server.metrics t))
+        (Iw_metrics.with_label "iw_server_queue_hwm" "shard" "0")
+    with
+    | Some (Iw_metrics.V_gauge v) -> int_of_float v
+    | _ -> Alcotest.fail "no queue high-watermark for shard 0"
+  in
+  Iw_server.shutdown t;
+  Alcotest.(check bool) "work was shed or expired" true (shed +. expired >= 1.);
+  Alcotest.(check bool) "operations were accepted" true (Atomic.get accepted > 0);
+  let rss = Ycsb_core.rss_hwm_kb () in
+  if rss > 1_500_000 then Alcotest.failf "peak RSS %d kB exceeds 1,500,000 kB" rss;
+  if hwm > queue_max + Atomic.get urgent_peak then
+    Alcotest.failf "shard 0 queue reached %d, past cap %d + %d urgent in flight" hwm
+      queue_max (Atomic.get urgent_peak)
+
 (* Deadline propagation through the dispatch: a request whose budget is
    already gone is shed before any work (phase "queue"), a release only at
    the last moment before its WAL cost (phase "wal") — and an expired path
@@ -546,4 +641,6 @@ let suite =
       Alcotest.test_case "overload shed and urgent lane" `Quick
         test_overload_shed_and_urgent_lane;
       Alcotest.test_case "deadline expiry phases" `Quick test_deadline_expiry_phases;
+      Alcotest.test_case "overload through the client stack" `Slow
+        test_overload_through_client_stack;
     ] )
