@@ -17,18 +17,14 @@ let tcp_connect host port =
     Printf.eprintf "iw-admin: %s\n" msg;
     exit 1
 
-let connect host port =
-  let conn = tcp_connect host port in
-  let link = Iw_proto.demux_link conn ~on_notify:print_notification in
-  let session =
-    match link.Iw_proto.call (Iw_proto.Hello { arch = "admin" }) with
-    | Iw_proto.R_hello { session } -> session
-    | _ ->
-      link.Iw_proto.close ();
-      Printf.eprintf "iw-admin: handshake with %s:%d failed\n" host port;
-      exit 1
-  in
-  (link, session)
+let connect ?(on_notify = print_notification) host port =
+  let link = Iw_proto.crc_link (tcp_connect host port) ~on_notify in
+  match link.Iw_proto.call (Iw_proto.Hello { arch = "admin" }) with
+  | Iw_proto.R_hello { session } -> (link, session)
+  | _ ->
+    link.Iw_proto.close ();
+    Printf.eprintf "iw-admin: handshake with %s:%d failed\n" host port;
+    exit 1
 
 let fail_response link what = function
   | Iw_proto.R_error msg ->
@@ -39,21 +35,6 @@ let fail_response link what = function
     link.Iw_proto.close ();
     Printf.eprintf "error: unexpected response to %s\n" what;
     exit 1
-
-(* Observability requests postdate the original protocol.  An old server
-   treats their tags as garbage and drops the connection, which the demux
-   link surfaces as [Closed]/[End_of_file]; newer-but-still-old servers may
-   answer [R_error].  Either way, say so plainly instead of dying with a
-   backtrace and no output. *)
-let unsupported link what =
-  (try link.Iw_proto.close () with _ -> ());
-  Printf.eprintf "error: %s is not supported by this server (too old?)\n" what;
-  exit 1
-
-let call_observability link what req =
-  match link.Iw_proto.call req with
-  | resp -> resp
-  | exception (Iw_transport.Closed | End_of_file) -> unsupported link what
 
 let stat host port name =
   let link, session = connect host port in
@@ -76,31 +57,28 @@ let render_snapshot snap json prom =
 
 let server_stats host port json prom =
   let link, session = connect host port in
-  (match call_observability link "stats" (Iw_proto.Server_stats { session }) with
+  (match link.Iw_proto.call (Iw_proto.Server_stats { session }) with
   | Iw_proto.R_server_stats snap -> render_snapshot snap json prom
-  | Iw_proto.R_error _ -> unsupported link "stats"
   | r -> fail_response link "stats" r);
   link.Iw_proto.close ();
   0
 
 let segment_stats host port json prom segment =
   let link, session = connect host port in
-  (match call_observability link "segstats" (Iw_proto.Segment_stats { session; segment }) with
+  (match link.Iw_proto.call (Iw_proto.Segment_stats { session; segment }) with
   | Iw_proto.R_segment_stats snap ->
     if snap = [] then
       Printf.eprintf "note: no per-segment samples yet%s\n"
         (match segment with Some s -> " for segment " ^ s | None -> "");
     render_snapshot snap json prom
-  | Iw_proto.R_error _ -> unsupported link "segstats"
   | r -> fail_response link "segstats" r);
   link.Iw_proto.close ();
   0
 
 let flight_dump host port =
   let link, session = connect host port in
-  (match call_observability link "flight" (Iw_proto.Flight_recorder { session }) with
+  (match link.Iw_proto.call (Iw_proto.Flight_recorder { session }) with
   | Iw_proto.R_flight json -> print_endline json
-  | Iw_proto.R_error _ -> unsupported link "flight"
   | r -> fail_response link "flight" r);
   link.Iw_proto.close ();
   0
@@ -150,7 +128,7 @@ let pp_hex_id id = if id = 0 then "-" else Iw_trace.pp_id id
    matching Perfetto trace. *)
 let slowlog host port limit json =
   let link, session = connect host port in
-  (match call_observability link "slowlog" (Iw_proto.Slow_log { session; limit }) with
+  (match link.Iw_proto.call (Iw_proto.Slow_log { session; limit }) with
   | Iw_proto.R_slow_log entries ->
     if json then begin
       let open Iw_obs_json in
@@ -184,7 +162,7 @@ let slowlog host port limit json =
         "SEQ" "TRACE_ID" "SPAN_ID";
       (* The wait/service/wal columns are the server-side phase shares of
          the latency (see Iw_phase) — "-" on entries recorded without a
-         phase timer (an older server, or a direct in-process link).  DL
+         phase timer (a direct in-process link).  DL
          marks requests that blew their propagated deadline (answered
          R_expired, or completed after the budget ran out). *)
       let phase_col v = if v <= 0. then "-" else Printf.sprintf "%.0f" v in
@@ -204,7 +182,6 @@ let slowlog host port limit json =
             e.e_session e.e_seq (pp_hex_id e.e_trace_id) (pp_hex_id e.e_span_id))
         entries
     end
-  | Iw_proto.R_error _ -> unsupported link "slowlog"
   | r -> fail_response link "slowlog" r);
   link.Iw_proto.close ();
   0
@@ -316,8 +293,7 @@ let fmt_rate v =
 (* One dashboard section shared by top and contention: SHED/S and
    EXPIRED/S over the window, lifetime totals, the deepest any shard
    mailbox has ever been, and the worst shard's overload state.  Rendered
-   only once the server exposes the series (an older server, or one that
-   has never shed, simply has no section). *)
+   only once the server has shed, expired or queued anything. *)
 let overload_lines (emit : string -> unit) prev_snap cur_snap dt =
   let line fmt = Printf.ksprintf emit fmt in
   let shed = sum_prefixed cur_snap "iw_server_shed_total" in
@@ -345,8 +321,7 @@ let overload_lines (emit : string -> unit) prev_snap cur_snap dt =
    [Metrics_history] returns the last N windowed points of derived scalar
    series; a ring longer than the column is merged duration-weighted
    (Iw_ring.merge_adjacent), so a 64-window ring still renders honestly in
-   16 cells.  Fetched with soft failure: an old server answers [R_error]
-   (or nothing useful) and the views simply render without trend columns. *)
+   16 cells. *)
 
 let spark_levels = [| "▁"; "▂"; "▃"; "▄"; "▅"; "▆"; "▇"; "█" |]
 
@@ -370,31 +345,24 @@ let sparkline ?(width = 16) points series =
 let fetch_history link session =
   match link.Iw_proto.call (Iw_proto.Metrics_history { session; limit = 0 }) with
   | Iw_proto.R_metrics_history pts -> pts
-  | _ -> []
-  | exception _ -> []
+  | r -> fail_response link "metrics history" r
 
 type top_frame = {
   f_t : float;
   f_server : Iw_metrics.snapshot;
   f_segs : Iw_metrics.snapshot;
-  f_hist : Iw_ring.point list;  (* [] when the server has no history ring *)
+  f_hist : Iw_ring.point list;  (* [] until the server's ring has rolled *)
 }
 
 let top_fetch link session =
   let server =
-    match
-      call_observability link "top" (Iw_proto.Server_stats { session })
-    with
+    match link.Iw_proto.call (Iw_proto.Server_stats { session }) with
     | Iw_proto.R_server_stats snap -> snap
-    | Iw_proto.R_error _ -> unsupported link "top"
     | r -> fail_response link "top" r
   in
   let segs =
-    match
-      call_observability link "top" (Iw_proto.Segment_stats { session; segment = None })
-    with
+    match link.Iw_proto.call (Iw_proto.Segment_stats { session; segment = None }) with
     | Iw_proto.R_segment_stats snap -> snap
-    | Iw_proto.R_error _ -> unsupported link "top"
     | r -> fail_response link "top" r
   in
   {
@@ -626,7 +594,7 @@ let render_contention ~clear host port prev cur =
           (fmt_q (Iw_metrics.hist_quantile d 0.99)))
     Iw_phase.phases;
   (match total with
-  | None -> line "(no iw_server_request_total_us series: server too old, or IW_METRICS=0)"
+  | None -> line "(no iw_server_request_total_us series yet, or IW_METRICS=0 on the server)"
   | Some d ->
     line "%-10s %6.1f%% %8.3fs %9s %9s" "total"
       (if total_sum > 0. then 100. else 0.)
@@ -694,18 +662,9 @@ let contention = dashboard render_contention
 let watch host port name =
   (* Subscribe and print a line per version change — a tiny liveness probe
      built on the notification protocol. *)
-  let conn = tcp_connect host port in
-  let link =
-    Iw_proto.demux_link conn ~on_notify:(fun n ->
+  let link, session =
+    connect host port ~on_notify:(fun n ->
         Printf.printf "%s -> version %d\n%!" n.Iw_proto.n_segment n.Iw_proto.n_version)
-  in
-  let session =
-    match link.Iw_proto.call (Iw_proto.Hello { arch = "admin" }) with
-    | Iw_proto.R_hello { session } -> session
-    | _ ->
-      link.Iw_proto.close ();
-      Printf.eprintf "iw-admin: handshake with %s:%d failed\n" host port;
-      exit 1
   in
   (match link.Iw_proto.call (Iw_proto.Subscribe { session; name }) with
   | Iw_proto.R_ok -> Printf.printf "watching %s (ctrl-c to stop)\n%!" name
@@ -815,4 +774,13 @@ let cmds =
                    screen and exit; for scripts and tests."));
   ]
 
-let () = exit (Cmd.eval' (Cmd.group (Cmd.info "iw-admin" ~doc:"InterWeave server admin") cmds))
+(* A connection the server drops mid-command is reported once, here, for
+   every subcommand. *)
+let () =
+  match
+    Cmd.eval' ~catch:false (Cmd.group (Cmd.info "iw-admin" ~doc:"InterWeave server admin") cmds)
+  with
+  | code -> exit code
+  | exception (Iw_transport.Closed | Iw_transport.Corrupt _ | End_of_file) ->
+    prerr_endline "iw-admin: connection to the server was lost";
+    exit 1

@@ -47,10 +47,7 @@ let run port checkpoint_dir checkpoint_secs fsync trace lease_secs fault_plan
   let server = Iw_server.create ?checkpoint_dir ?domains ?lease_secs ?fsync () in
   if Iw_server.domains server > 1 then
     Logs.info (fun m ->
-        m "sharded across %d domains (group commit: max %s, window %s µs)"
-          (Iw_server.domains server)
-          (Option.value (Sys.getenv_opt "IW_GROUP_COMMIT_MAX") ~default:"64")
-          (Option.value (Sys.getenv_opt "IW_GROUP_COMMIT_US") ~default:"0"));
+        m "sharded across %d domains (group commit)" (Iw_server.domains server));
   (match Iw_server.store server with
   | Some store ->
     Logs.info (fun m ->
@@ -196,9 +193,7 @@ let domains =
           "Shard the server across $(docv) OCaml domains: segments are \
            partitioned by a deterministic hash of their name, each shard \
            owns its slice of the write-ahead log, and concurrent releases \
-           on one shard share fsyncs via group commit \
-           (IW_GROUP_COMMIT_MAX / IW_GROUP_COMMIT_US tune the batching).  \
-           Default 1 (classic single-lock dispatch).  Overrides the \
+           on one shard share fsyncs via group commit.  Default 1 (classic single-lock dispatch).  Overrides the \
            IW_DOMAINS environment variable.")
 
 let cmd =

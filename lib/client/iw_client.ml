@@ -400,8 +400,8 @@ let malformed_reply msg =
   String.length msg >= 10 && String.sub msg 0 10 = "malformed:"
 
 let call c req =
-  (* Requests carry a trace-context envelope only while tracing is on, so a
-     non-tracing client stays byte-identical to the old wire format. *)
+  (* Requests carry a trace context only while tracing is on, so an
+     untraced request's envelope stays 20 bytes shorter. *)
   let mk_ctx () =
     if Iw_trace.enabled () then begin
       c.c_seq <- c.c_seq + 1;

@@ -128,11 +128,9 @@ let demux_client ?arch ?fault ?call_timeout ?flight ~busy_wait dial =
   in
   (* Each dialed connection negotiates frame CRCs before anything else: the
      CRC wrapper sits above the fault injector, so injected garbling lands on
-     protected bytes and is detected instead of decoding into garbage.  The
-     two-frame negotiation itself is the only unprotected traffic — an old
-     server rejects the unknown request tag with R_error and the link simply
-     stays plain, which is the whole backward-compatibility story.  A
-     negotiation eaten by the fault plan (timeout, drop, close) re-dials. *)
+     protected bytes and is detected instead of decoding into garbage.  A
+     negotiation eaten by the fault plan (timeout, drop, close, a garbled
+     reply) re-dials. *)
   let rec mk_retry k =
     let conn = dial () in
     let conn =
@@ -140,23 +138,13 @@ let demux_client ?arch ?fault ?call_timeout ?flight ~busy_wait dial =
       | None -> conn
       | Some inj -> Iw_fault.wrap ?flight inj conn
     in
-    let conn, crc = Iw_transport.crc_conn conn in
-    let link = Iw_proto.demux_link ~on_io ?call_timeout conn ~on_notify in
-    let retry e =
-      (try link.Iw_proto.close () with _ -> ());
-      if k < 5 then mk_retry (k + 1) else raise e
-    in
-    match link.Iw_proto.call (Iw_proto.Enable_crc { session = 0 }) with
-    | Iw_proto.R_ok ->
-      Iw_transport.enable_send crc;
-      link
-    | Iw_proto.R_error _ -> link
-    | _ -> retry Iw_transport.Closed
+    match Iw_proto.crc_link ~on_io ?call_timeout conn ~on_notify with
+    | link -> link
     | exception
         ((Iw_transport.Closed | Iw_transport.Timeout | Iw_transport.Corrupt _
          | End_of_file)
          as e) ->
-      retry e
+      if k < 5 then mk_retry (k + 1) else raise e
   in
   let mk () = mk_retry 0 in
   (* A fault plan can eat the very first exchange; each retry dials afresh. *)

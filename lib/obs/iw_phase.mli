@@ -15,10 +15,11 @@
     per transition) and not thread-safe.  Ownership may be handed off
     (connection thread → shard worker → connection thread) as long as each
     handoff synchronizes through a mutex or condition variable, which the
-    shard mailbox does; only one thread touches the timer at a time.  Finished timers are folded into a {!stats} accumulator
-    (internally locked) holding per-phase and per-(variant, phase)
-    {!Iw_hist} histograms, which is what the ycsb bench's [phase] section
-    and the acceptance check ("phases sum to within 10% of total") read. *)
+    shard mailbox does; only one thread touches the timer at a time.
+    Finished timers are folded into a {!stats} accumulator (internally
+    locked) holding per-phase and per-(variant, phase) {!Iw_hist}
+    histograms, which is what [iwbench]'s [server.*_us_per_req] and
+    [server.phase_coverage_pct] metrics read. *)
 
 type phase =
   | Decode  (** envelope + request body parsing *)
@@ -32,7 +33,8 @@ val phases : phase list
 
 val name : phase -> string
 (** Stable lowercase label ([decode], [lock_wait], [service], [wal],
-    [reply]) used for metric labels, BENCH JSON series, and admin views. *)
+    [reply]) used for metric labels, [iwbench] metric names, and admin
+    views. *)
 
 type timer
 

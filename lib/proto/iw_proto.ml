@@ -180,10 +180,9 @@ type trace_ctx = {
   tc_seq : int;
 }
 
-(* The envelope marker is far above the request tag space (0..15), so a
-   first byte tells bare request (old clients) from envelope (new clients)
-   and old servers reject enveloped traffic loudly as an unknown tag rather
-   than misparsing it. *)
+(* The envelope marker is far above the request tag space (0..19), so a
+   frame that lacks it is rejected loudly as malformed rather than
+   misparsed. *)
 let envelope_magic = 0xe7
 
 let proto_version = 1
@@ -191,10 +190,8 @@ let proto_version = 1
 let feature_trace_ctx = 0x01
 
 (* The envelope carries the call's remaining deadline budget (u32,
-   milliseconds).  A server that understands it sheds requests whose budget
-   has already expired instead of doing dead work; a server that does not
-   rejects the unknown bit loudly (Malformed -> R_error), and the client's
-   demux link falls back to bare envelopes for the rest of the connection. *)
+   milliseconds), so the server sheds requests whose budget has already
+   expired instead of doing dead work. *)
 let feature_deadline = 0x02
 
 let known_features = feature_trace_ctx lor feature_deadline
@@ -441,53 +438,39 @@ let get_ctx r =
 type envelope = {
   env_ctx : trace_ctx option;
   env_budget_ms : int option;
-      (* remaining call budget at send time; None = client sent no deadline
-         (an old client, or a link without a call timeout) *)
+      (* remaining call budget at send time; None = a link without a call
+         timeout *)
 }
 
-let no_envelope = { env_ctx = None; env_budget_ms = None }
-
 let encode_request_env buf ?ctx ?budget_ms req =
-  (match (ctx, budget_ms) with
-  | None, None -> ()
-  | _ ->
-    Buf.u8 buf envelope_magic;
-    Buf.u8 buf proto_version;
-    let feats =
-      (match ctx with Some _ -> feature_trace_ctx | None -> 0)
-      lor match budget_ms with Some _ -> feature_deadline | None -> 0
-    in
-    Buf.u8 buf feats;
-    (match ctx with Some c -> put_ctx buf c | None -> ());
-    (match budget_ms with
-    | Some b -> Buf.u32 buf (max 0 b)
-    | None -> ()));
+  Buf.u8 buf envelope_magic;
+  Buf.u8 buf proto_version;
+  Buf.u8 buf
+    ((match ctx with Some _ -> feature_trace_ctx | None -> 0)
+    lor match budget_ms with Some _ -> feature_deadline | None -> 0);
+  Option.iter (put_ctx buf) ctx;
+  Option.iter (fun b -> Buf.u32 buf (max 0 b)) budget_ms;
   encode_request buf req
 
-(* Consumes an envelope header if one is present, leaving the reader at the
-   request body either way.  Kept separate from {!decode_request} so a
-   server that fails to decode the body can still recover the seq for its
-   error reply and flight-recorder entry. *)
+(* Consumes the envelope header, leaving the reader at the request body.
+   Kept separate from {!decode_request} so a server that fails to decode the
+   body can still recover the seq for its error reply and flight-recorder
+   entry. *)
 let decode_envelope r =
-  if Reader.remaining r > 0 && Reader.peek_u8 r = envelope_magic then begin
-    Reader.skip r 1;
-    let v = Reader.u8 r in
-    if v <> proto_version then
-      raise (Iw_wire.Malformed (Printf.sprintf "unsupported proto version %d" v));
-    let feats = Reader.u8 r in
-    if feats land lnot known_features <> 0 then
-      raise (Iw_wire.Malformed (Printf.sprintf "unknown envelope features 0x%x" feats));
-    let env_ctx = if feats land feature_trace_ctx <> 0 then Some (get_ctx r) else None in
-    let env_budget_ms =
-      if feats land feature_deadline <> 0 then Some (Reader.u32 r) else None
-    in
-    { env_ctx; env_budget_ms }
-  end
-  else no_envelope
-
-let decode_request_env r =
-  let env = decode_envelope r in
-  (env.env_ctx, decode_request r)
+  let m = Reader.u8 r in
+  if m <> envelope_magic then
+    raise (Iw_wire.Malformed (Printf.sprintf "missing request envelope (first byte 0x%02x)" m));
+  let v = Reader.u8 r in
+  if v <> proto_version then
+    raise (Iw_wire.Malformed (Printf.sprintf "unsupported proto version %d" v));
+  let feats = Reader.u8 r in
+  if feats land lnot known_features <> 0 then
+    raise (Iw_wire.Malformed (Printf.sprintf "unknown envelope features 0x%x" feats));
+  let env_ctx = if feats land feature_trace_ctx <> 0 then Some (get_ctx r) else None in
+  let env_budget_ms =
+    if feats land feature_deadline <> 0 then Some (Reader.u32 r) else None
+  in
+  { env_ctx; env_budget_ms }
 
 let encode_response buf = function
   | R_hello { session } ->
@@ -691,30 +674,14 @@ type link = {
   description : string;
 }
 
-let framed_link ?on_io ~send ~recv ~close ~description () =
-  let call ?ctx req =
-    let buf = Buf.create () in
-    encode_request_env buf ?ctx req;
-    let frame = Buf.contents buf in
-    (match on_io with
-    | None -> ()
-    | Some f -> f ~dir:`Sent (String.length frame));
-    send frame;
-    let reply = recv () in
-    (match on_io with
-    | None -> ()
-    | Some f -> f ~dir:`Received (String.length reply));
-    decode_response (Reader.of_string reply)
-  in
-  { call; close; description }
-
 type notification = {
   n_segment : string;
   n_version : int;
 }
 
 (* A tag-2 frame prefixes the response with the request's seq, echoed only
-   when the request carried a trace context — old clients never see one. *)
+   when the request carried a trace context: untraced replies stay 4 bytes
+   shorter. *)
 let response_frame ?seq resp =
   let buf = Buf.create () in
   (match seq with
@@ -813,21 +780,11 @@ let demux_link ?on_io ?call_timeout conn ~on_notify =
       done
     in
     ignore (Thread.create tick () : Thread.t));
-  (* Whether this link stamps its remaining call budget into the envelope
-     (the deadline-propagation feature).  Armed whenever a timeout is, and
-     cleared for the rest of the connection the first time the server
-     rejects the feature bit — the old-server fallback: the probed call is
-     re-sent bare, and its semantics (plain [R_busy], no shedding) are
-     exactly what an old client would have seen. *)
-  let env_deadline = ref (call_timeout <> None) in
-  let deadline_rejected = function
-    | R_error msg ->
-      let prefix = "malformed: unknown envelope features" in
-      String.length msg >= String.length prefix
-      && String.sub msg 0 (String.length prefix) = prefix
-    | _ -> false
+  (* A timeout-armed link stamps its call budget into every envelope. *)
+  let budget_ms =
+    Option.map (fun d -> int_of_float (Float.ceil (d *. 1000.))) call_timeout
   in
-  let call_once ?ctx ?budget_ms req =
+  let call ?ctx req =
     if !dead then raise Iw_transport.Closed;
     let buf = Buf.create () in
     encode_request_env buf ?ctx ?budget_ms req;
@@ -863,22 +820,22 @@ let demux_link ?on_io ?call_timeout conn ~on_notify =
     Mutex.unlock m;
     match r with Ok resp -> resp | Error e -> raise e
   in
-  let call ?ctx req =
-    if !env_deadline then begin
-      let budget_ms =
-        Option.map (fun d -> int_of_float (Float.ceil (d *. 1000.))) call_timeout
-      in
-      let resp = call_once ?ctx ?budget_ms req in
-      if deadline_rejected resp then begin
-        env_deadline := false;
-        call_once ?ctx req
-      end
-      else resp
-    end
-    else call_once ?ctx req
-  in
   {
     call;
     close = conn.Iw_transport.shutdown;
     description = "demux:" ^ conn.Iw_transport.peer;
   }
+
+let crc_link ?on_io ?call_timeout conn ~on_notify =
+  let conn, crc = Iw_transport.crc_conn conn in
+  let link = demux_link ?on_io ?call_timeout conn ~on_notify in
+  let fail e =
+    (try link.close () with _ -> ());
+    raise e
+  in
+  match link.call (Enable_crc { session = 0 }) with
+  | R_ok ->
+    Iw_transport.enable_send crc;
+    link
+  | _ -> fail Iw_transport.Closed
+  | exception e -> fail e

@@ -103,11 +103,9 @@ type request =
   | Enable_crc of { session : int }
       (** negotiate frame-level CRC-32 (see {!Iw_transport.crc_conn}).  Sent
           first on a fresh connection with [session = 0] — it is link-level,
-          not session-level.  A server that understands it answers [R_ok]
-          and CRC-protects every frame it sends from then on; the client
-          does the same on seeing [R_ok].  An old server rejects the
-          unknown tag with [R_error], and the link stays unprotected —
-          that asymmetry is the whole negotiation. *)
+          not session-level.  The server answers [R_ok] and CRC-protects
+          every frame it sends from then on; the client does the same on
+          seeing [R_ok] (see {!crc_link}). *)
   | Slow_log of {
       session : int;
       limit : int;
@@ -171,9 +169,7 @@ type response =
   | R_busy_hint of { retry_after_ms : int }
       (** overload shed: the request was refused before queueing (bounded
           mailbox full, or a degraded shard refusing new writes); retry
-          after roughly [retry_after_ms].  Only sent to clients that
-          negotiated the deadline envelope feature — old clients receive a
-          plain {!R_busy}, whose capped-exponential retry already copes. *)
+          after roughly [retry_after_ms] *)
   | R_expired of { phase : string }
       (** deadline shed: the request's propagated budget had already expired
           when the server was about to spend real work on it ([phase] is
@@ -181,23 +177,24 @@ type response =
           nothing was applied, so a retry is always safe *)
 
 val encode_request : Iw_wire.Buf.t -> request -> unit
+(** The request body alone; on the wire every request is preceded by its
+    envelope ({!encode_request_env}). *)
 
 val decode_request : Iw_wire.Reader.t -> request
+(** Decode a request body (after {!decode_envelope}). *)
 
 val encode_response : Iw_wire.Buf.t -> response -> unit
 
 val decode_response : Iw_wire.Reader.t -> response
 
-(** {1 Trace-context envelope}
+(** {1 Request envelope}
 
-    A request may be wrapped in an envelope carrying the caller's trace
-    context, so the server's dispatch span lands in the same Perfetto
-    timeline as the client span that issued the request.  On the wire the
-    envelope is [0xE7] (a marker outside the request tag space), a protocol
-    version byte, a feature bitmap, then the feature payloads; a bare
-    request (first byte = its tag) remains valid, which is the whole
-    backward-compatibility story: old clients send bare requests, old
-    servers reject enveloped ones as an unknown tag. *)
+    Every request is wrapped in an envelope: [0xE7] (a marker outside the
+    request tag space), a protocol version byte, a feature bitmap, then the
+    feature payloads — the caller's trace context, so the server's dispatch
+    span lands in the same Perfetto timeline as the client span that issued
+    the request, and the call's remaining deadline budget.  A frame without
+    the envelope is malformed. *)
 
 type trace_ctx = {
   tc_trace_id : int;  (** u64; same for every span of one logical operation *)
@@ -220,59 +217,35 @@ val feature_trace_ctx : int
 val feature_deadline : int
 (** Envelope feature bit: a u32 remaining-budget (milliseconds) follows the
     trace context (if any).  The server sheds requests whose budget has
-    expired before it spends queue or WAL work on them ({!R_expired}), and
-    may answer overload sheds with {!R_busy_hint} instead of plain
-    {!R_busy} — the bit doubles as the client's capability announcement. *)
+    expired before it spends queue or WAL work on them ({!R_expired}). *)
 
 (** What a request envelope carried.  [env_budget_ms = None] means the
-    client sent no deadline at all (old client, or no call timeout);
-    [Some b] announces deadline capability with [b] ms of budget left at
-    send time. *)
+    client sent no deadline (a link without a call timeout); [Some b]
+    leaves [b] ms of budget at send time. *)
 type envelope = {
   env_ctx : trace_ctx option;
   env_budget_ms : int option;
 }
 
-val no_envelope : envelope
-(** The decode result for a bare request: no context, no budget. *)
-
 val encode_request_env :
   Iw_wire.Buf.t -> ?ctx:trace_ctx -> ?budget_ms:int -> request -> unit
-(** Like {!encode_request}, with the envelope prepended when [ctx] or
-    [budget_ms] is given.  With neither, a bare request — byte-identical to
-    the old wire format. *)
+(** The envelope header, carrying [ctx] and [budget_ms] when given, then
+    the request body. *)
 
 val decode_envelope : Iw_wire.Reader.t -> envelope
-(** Consume an envelope header if the input starts with one, leaving the
-    reader at the request body either way.  Exposed separately from
-    {!decode_request_env} so a server can keep the context (notably the
-    seq) when the body fails to decode. *)
-
-val decode_request_env : Iw_wire.Reader.t -> trace_ctx option * request
-(** [decode_envelope] then [decode_request], keeping only the trace
-    context — for callers that predate deadline propagation. *)
+(** Consume the envelope header, leaving the reader at the request body.
+    Raises [Iw_wire.Malformed] when the input does not start with one.
+    Separate from {!decode_request} so a server can keep the context
+    (notably the seq) when the body fails to decode. *)
 
 (** A link is the client's view of one server, however reached.  [call]
-    attaches [ctx] as a request envelope when given (transports that cannot
-    carry it simply ignore it). *)
+    puts [ctx] in the request envelope when given (an in-process link has
+    no envelope and ignores it). *)
 type link = {
   call : ?ctx:trace_ctx -> request -> response;
   close : unit -> unit;
   description : string;
 }
-
-val framed_link :
-  ?on_io:(dir:[ `Sent | `Received ] -> int -> unit) ->
-  send:(string -> unit) ->
-  recv:(unit -> string) ->
-  close:(unit -> unit) ->
-  description:string ->
-  unit ->
-  link
-(** Build a link that serializes each request and parses each response over a
-    framed byte transport carrying nothing but request/response pairs.
-    [on_io] observes each frame's payload size in bytes as it crosses the
-    link (framing overhead such as a TCP length prefix is not included). *)
 
 (** {1 Server-push notifications}
 
@@ -292,7 +265,7 @@ val response_frame : ?seq:int -> response -> string
 (** Tag-0 frame carrying a response (what {!demux_link} expects).  With
     [seq], a tag-2 frame that prefixes the response with the originating
     request's seq; servers echo it only when the request carried a trace
-    context, so clients that never send envelopes never see tag 2. *)
+    context, so untraced replies do not pay for it. *)
 
 val notification_frame : notification -> string
 (** Tag-1 frame carrying a notification. *)
@@ -318,8 +291,18 @@ val demux_link :
 
     A timeout-armed link also stamps the budget into each request's
     envelope ({!feature_deadline}), letting the server shed the call once
-    the budget is hopeless.  If the server rejects the feature bit (an old
-    server: its reply is the malformed-envelope [R_error]), the call is
-    re-sent once without it and the link stops stamping for its remaining
-    lifetime — old-server behavior, plain [R_busy] semantics included, is
-    restored transparently. *)
+    the budget is hopeless. *)
+
+val crc_link :
+  ?on_io:(dir:[ `Sent | `Received ] -> int -> unit) ->
+  ?call_timeout:float ->
+  Iw_transport.conn ->
+  on_notify:(notification -> unit) ->
+  link
+(** {!demux_link} over a frame-checksummed connection: wraps [conn] with
+    {!Iw_transport.crc_conn} and negotiates {!Enable_crc} before returning,
+    so everything after that exchange travels CRC-protected both ways.  The
+    two negotiation frames are the link's only unprotected traffic.  A
+    reply other than [R_ok] raises {!Iw_transport.Closed}; a transport
+    failure during the exchange is re-raised.  Either way the link is
+    closed first. *)

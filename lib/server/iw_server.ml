@@ -1319,13 +1319,11 @@ let create ?checkpoint_dir ?(diff_cache_capacity = 64) ?domains ?lease_secs ?fsy
      inline on connection threads under the single shard's lock, exactly
      the pre-shard behavior. *)
   if nshards > 1 then begin
-    let max_batch = env_pos_int "IW_GROUP_COMMIT_MAX" 64 in
-    let window_us = env_nonneg_float "IW_GROUP_COMMIT_US" 0. in
     Array.iter
       (fun sh ->
         sh.sh_exec <-
           Some
-            (Iw_shard.create ~max_batch ~window_us ?queue_max:t.t_queue_max
+            (Iw_shard.create ?queue_max:t.t_queue_max
                ~flush:(fun () -> flush_batch sh) ()))
       t.shards
   end;
@@ -2061,12 +2059,7 @@ let handle_routed ?deadline_us ?timer t req =
         Iw_metrics.incr counter;
         if Iw_flight.enabled t.t_flight then
           Iw_flight.record t.t_flight ~segment ("shed:" ^ reason ^ ":" ^ variant);
-        (* The deadline feature bit doubles as the client's capability
-           announcement: only stamped requests get the hint reply. *)
-        if deadline_us <> None then
-          Iw_proto.R_busy_hint
-            { retry_after_ms = busy_hint_ms (Iw_shard.pending exec) }
-        else Iw_proto.R_busy
+        Iw_proto.R_busy_hint { retry_after_ms = busy_hint_ms (Iw_shard.pending exec) }
       in
       let state = Atomic.get sh.sh_state in
       let is_new_write =
@@ -2173,8 +2166,8 @@ let response_version : Iw_proto.response -> int = function
 
 (* Fold one finished request's phase timer into the observability state:
    per-phase registry histograms (exact sums, conservative quantiles — what
-   the contention view and the BENCH coverage check read), the exact
-   per-(variant, phase) Iw_hist accumulator, the end-to-end total
+   the contention view reads), the exact per-(variant, phase) Iw_hist
+   accumulator ([iwbench]'s [server.*_us_per_req]), the end-to-end total
    histogram, and a lazy ring roll.  Called by serve_conn after the reply
    frame is written (so the reply phase is included) and by [handle] itself
    for direct links, which have no transport phases. *)
@@ -2385,7 +2378,8 @@ let serve_conn t conn =
           exactly the breadcrumb a post-mortem needs. *)
        let env, req_result =
          match Iw_proto.decode_envelope r with
-         | exception Iw_wire.Malformed msg -> (Iw_proto.no_envelope, Error msg)
+         | exception Iw_wire.Malformed msg ->
+           ({ Iw_proto.env_ctx = None; env_budget_ms = None }, Error msg)
          | env -> (
            env,
            match Iw_proto.decode_request r with

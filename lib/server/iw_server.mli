@@ -57,11 +57,9 @@ val create :
     single-threaded before any worker domain is spawned, and the
     segment→shard hash is deterministic, so a directory written with one
     shard count recovers correctly under any other.  With [domains ≥ 2],
-    group commit batches concurrent releases' fsyncs
-    ([IW_GROUP_COMMIT_MAX] caps the batch, default 64; [IW_GROUP_COMMIT_US]
-    adds an optional gathering window, default 0) — acknowledgements are
-    withheld until the batch's fsync, so durability-before-ack is
-    unchanged.
+    group commit batches concurrent releases' fsyncs (up to 64 requests
+    per batch) — acknowledgements are withheld until the batch's fsync, so
+    durability-before-ack is unchanged.
 
     [lease_secs] enables per-session inactivity leases: write locks survive
     a dropped connection (so a client can reconnect and
@@ -74,8 +72,7 @@ val create :
     [queue_max] (default: the [IW_SHARD_QUEUE_MAX] environment variable,
     else [1024]; [0] disables the bound) caps each shard's worker mailbox.
     A request arriving at a full mailbox is refused at admission with
-    {!Iw_proto.R_busy_hint} (or plain [R_busy] for clients without the
-    deadline envelope feature) instead of queueing — bounding both the
+    {!Iw_proto.R_busy_hint} instead of queueing — bounding both the
     server's queue memory and the queueing delay of everything already
     accepted.  The cap also drives a per-shard overload state machine
     (normal → shedding → read-only, with hysteresis): a shedding shard
@@ -129,8 +126,7 @@ val handle :
     budget has run out: at dequeue from the shard mailbox (phase
     ["queue"]), or for a [Write_release] at the last moment before its
     apply-and-WAL cost (phase ["wal"]).  Nothing is applied on an expired
-    path, so a client retry is always safe.  Its presence also marks the
-    caller as capable of {!Iw_proto.R_busy_hint} replies. *)
+    path, so a client retry is always safe. *)
 
 val direct_link : t -> Iw_proto.link
 (** An in-process link whose [call] is {!handle}.  No serialization overhead;
@@ -220,7 +216,7 @@ val phase_stats : t -> Iw_phase.stats
 (** This server's request-lifecycle phase accumulator: exact per-phase and
     per-(variant, phase) {!Iw_hist} histograms of exclusive time in decode,
     lock-wait, service, WAL, and reply-write, plus the end-to-end total —
-    what the ycsb bench's [phase] BENCH section reads on embedded runs.
+    what [iwbench]'s [server.*_us_per_req] metrics read on embedded runs.
     The same decomposition is exported through the registry as
     [iw_server_phase_us{phase="..."}] and [iw_server_request_total_us]
     (exact sums, bucketed quantiles), served by [Server_stats], and its

@@ -34,10 +34,11 @@ type t = {
   q_queue_max : int option;  (* admission gate; None = unbounded *)
   mutable q_stop : bool;
   q_flush : unit -> unit;
-  q_max_batch : int;
-  q_window_us : float;
   mutable q_domain : unit Domain.t option;
 }
+
+(* The most jobs one batch, and so one group-commit flush, covers. *)
+let max_batch = 64
 
 let pending t = Atomic.get t.q_pending
 
@@ -76,40 +77,15 @@ let worker t =
     done;
     if Queue.is_empty t.q_jobs && t.q_stop then Mutex.unlock t.q_mutex
     else begin
-      let batch = drain_locked t t.q_max_batch in
+      let batch = drain_locked t max_batch in
       Mutex.unlock t.q_mutex;
-      let deferred = run_batch batch in
-      (* An optional sub-millisecond window lets releases that arrive just
-         behind the batch share its fsync instead of paying their own.  The
-         sleep is sliced (~1 ms) with a drain-and-run between slices: a
-         read that lands mid-window completes within a slice — only its
-         fsync-deferring peers wait for the shared flush — so the window
-         delays group-committed writes, never the read lane. *)
-      let deferred =
-        if deferred = [] || t.q_window_us <= 0. then deferred
-        else begin
-          let slice_s = Float.min t.q_window_us 1000. /. 1e6 in
-          let until = Unix.gettimeofday () +. (t.q_window_us /. 1e6) in
-          let acc = ref deferred in
-          let open_window = ref true in
-          while !open_window do
-            Unix.sleepf slice_s;
-            Mutex.lock t.q_mutex;
-            let more = drain_locked t t.q_max_batch in
-            Mutex.unlock t.q_mutex;
-            acc := !acc @ run_batch more;
-            if Unix.gettimeofday () >= until then open_window := false
-          done;
-          !acc
-        end
-      in
-      flush_deferred t deferred;
+      flush_deferred t (run_batch batch);
       loop ()
     end
   in
   loop ()
 
-let create ?(max_batch = 64) ?(window_us = 0.) ?queue_max ~flush () =
+let create ?queue_max ~flush () =
   let t =
     {
       q_mutex = Mutex.create ();
@@ -120,8 +96,6 @@ let create ?(max_batch = 64) ?(window_us = 0.) ?queue_max ~flush () =
       q_queue_max = (match queue_max with Some n when n >= 1 -> Some n | _ -> None);
       q_stop = false;
       q_flush = flush;
-      q_max_batch = max max_batch 1;
-      q_window_us = window_us;
       q_domain = None;
     }
   in

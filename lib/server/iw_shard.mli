@@ -5,7 +5,7 @@
     The sharded server gives every segment exactly one owner.  In worker
     mode ([--domains N], N ≥ 2) each shard runs one of these: connection
     threads {!run} a closure and block on a per-request future; the shard's
-    domain drains queued jobs in batches (bounded by [max_batch]) and runs
+    domain drains queued jobs in batches of at most 64 and runs
     them in arrival order, so all access to the shard's segments is
     single-threaded without the submitters ever contending on a segment
     lock.
@@ -19,23 +19,12 @@
 
 type t
 
-val create :
-  ?max_batch:int ->
-  ?window_us:float ->
-  ?queue_max:int ->
-  flush:(unit -> unit) ->
-  unit ->
-  t
-(** Spawn the worker domain.  [max_batch] (default [64], clamped ≥ 1)
-    bounds how many queued jobs one flush can cover; [window_us] (default
-    [0.]) optionally holds the group-commit window open that long after a
-    batch that deferred work, letting stragglers share the fsync — the wait
-    is sliced (~1 ms) with intermediate drains, so non-deferring jobs
-    (reads) that arrive mid-window complete immediately instead of waiting
-    the window out.  [queue_max] (default: unbounded) bounds the mailbox:
-    past it, non-urgent {!run} calls are refused with {!Overloaded} instead
-    of queued — the admission gate overload control is built on.  [flush]
-    runs on the worker domain with no locks held by this module. *)
+val create : ?queue_max:int -> flush:(unit -> unit) -> unit -> t
+(** Spawn the worker domain.  [queue_max] (default: unbounded) bounds the
+    mailbox: past it, non-urgent {!run} calls are refused with
+    {!Overloaded} instead of queued — the admission gate overload control
+    is built on.  [flush] runs on the worker domain with no locks held by
+    this module. *)
 
 val run : ?urgent:bool -> t -> defer:(unit -> bool) -> (unit -> 'a) -> 'a
 (** Enqueue [f] and block until it completes.  [f] runs on the worker

@@ -87,12 +87,11 @@ let instrument conn =
 
    A protected frame is self-describing: marker byte 0xC3, then the big-endian
    CRC-32 of the payload, then the payload.  0xC3 cannot start an unprotected
-   frame — request frames begin with a tag (0..17) or the 0xE7 trace envelope,
-   response frames with 0, 1, or 2 — so a receiver can accept both framings on
-   one connection, which is what makes negotiation possible: each side starts
-   sending plain frames and flips to protected ones only after the Enable_crc
-   exchange succeeds, and old peers that never negotiate just keep exchanging
-   plain frames.
+   frame — request frames begin with the 0xE7 envelope, response frames with
+   0, 1, or 2 — so a receiver can accept both framings on one connection,
+   which is what makes negotiation possible: each side starts sending plain
+   frames and flips to protected ones only after the Enable_crc exchange
+   succeeds.
 
    The receive side ratchets: once one protected frame arrives, every later
    frame must be protected too, so a garbled frame cannot smuggle itself past

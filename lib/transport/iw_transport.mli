@@ -49,9 +49,9 @@ val metrics : unit -> Iw_metrics.t
     self-describing (marker byte [0xC3] + big-endian CRC + payload), which
     lets both framings coexist on one connection: each side sends plain
     frames until the protocol-level [Enable_crc] exchange succeeds, then
-    flips its sender with {!enable_send}.  Old peers that never negotiate
-    keep speaking plain frames.  Once a protected frame has been received,
-    an unprotected one raises {!Corrupt} — corruption cannot opt back out. *)
+    flips its sender with {!enable_send}.  Once a protected frame has been
+    received, an unprotected one raises {!Corrupt} — corruption cannot opt
+    back out. *)
 
 type crc_handle
 

@@ -158,10 +158,6 @@ module Reader = struct
     r.pos <- r.pos + 1;
     v
 
-  let peek_u8 r =
-    need r 1;
-    Char.code (Bytes.unsafe_get r.data r.pos)
-
   let u16 r =
     need r 2;
     let d = r.data and p = r.pos in

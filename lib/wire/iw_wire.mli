@@ -85,11 +85,6 @@ module Reader : sig
 
   val u8 : t -> int
 
-  val peek_u8 : t -> int
-  (** The next byte without consuming it — lets a decoder dispatch on a
-      discriminator (e.g. the protocol's envelope marker) and hand the rest
-      to a sub-decoder that re-reads it. *)
-
   val u16 : t -> int
 
   val u32 : t -> int

@@ -96,7 +96,7 @@ let test_decode_failure_dumps () =
   | _ -> Alcotest.fail "expected R_error for the malformed request");
   (* The connection survived: a follow-up request still answers. *)
   let buf = Iw_wire.Buf.create () in
-  Iw_proto.encode_request buf (Iw_proto.Checkpoint { session = 0 });
+  Iw_proto.encode_request_env buf (Iw_proto.Checkpoint { session = 0 });
   client_end.Iw_transport.send (Iw_wire.Buf.contents buf);
   let r = Iw_wire.Reader.of_string (client_end.Iw_transport.recv ()) in
   ignore (Iw_wire.Reader.u8 r);

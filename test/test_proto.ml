@@ -1,5 +1,5 @@
-(* Protocol message codecs: every request/response variant roundtrips, and a
-   framed link carries them over a byte transport. *)
+(* Protocol message codecs: every request/response variant roundtrips, with
+   and without its envelope. *)
 
 open Iw_proto
 
@@ -157,87 +157,85 @@ let test_malformed_rejected () =
     Alcotest.fail "bad response tag accepted"
   with Iw_wire.Malformed _ -> ()
 
-let test_framed_link () =
-  (* An echo "server" that decodes the request and answers with a canned
-     response per request type, over the loopback transport. *)
-  let client_end, server_end = Iw_transport.loopback () in
-  let server () =
-    let rec loop () =
-      match Iw_transport.(server_end.recv ()) with
-      | frame ->
-        let req = decode_request (Iw_wire.Reader.of_string frame) in
-        let resp =
-          match req with
-          | Hello _ -> R_hello { session = 99 }
-          | Get_version _ -> R_version 5
-          | _ -> R_ok
-        in
-        let buf = Iw_wire.Buf.create () in
-        encode_response buf resp;
-        Iw_transport.(server_end.send (Iw_wire.Buf.contents buf));
-        loop ()
-      | exception Iw_transport.Closed -> ()
-    in
-    loop ()
-  in
-  let t = Thread.create server () in
-  let link =
-    framed_link
-      ~send:client_end.Iw_transport.send
-      ~recv:(fun () -> client_end.Iw_transport.recv ())
-      ~close:client_end.Iw_transport.close ~description:"test" ()
-  in
-  (match link.call (Hello { arch = "x86_32" }) with
-  | R_hello { session } -> Alcotest.(check int) "hello" 99 session
-  | _ -> Alcotest.fail "unexpected");
-  (match link.call (Get_version { session = 99; name = "s" }) with
-  | R_version v -> Alcotest.(check int) "version" 5 v
-  | _ -> Alcotest.fail "unexpected");
-  link.close ();
-  Thread.join t
-
-(* Trace-context envelope: optional prefix on the request stream.  Bare
-   requests (old clients) must keep decoding; enveloped ones must surface
-   the context; corrupt or truncated envelopes must be rejected loudly. *)
+(* Request envelope: every request carries one.  Enveloped requests
+   surface their context and budget; a bare request, or a corrupt or
+   truncated envelope, is rejected loudly. *)
 
 let sample_ctx = { tc_trace_id = 0x1234_5678_9abc; tc_span_id = 0x42; tc_seq = 7 }
 
-let encode_env ?ctx req =
+let encode_env ?ctx ?budget_ms req =
   let buf = Iw_wire.Buf.create () in
-  encode_request_env buf ?ctx req;
+  encode_request_env buf ?ctx ?budget_ms req;
   Iw_wire.Buf.contents buf
+
+let decode_env s =
+  let r = Iw_wire.Reader.of_string s in
+  let env = decode_envelope r in
+  (env, decode_request r)
 
 let test_envelope_roundtrips () =
   List.iteri
     (fun i req ->
-      let ctx, req' =
-        decode_request_env (Iw_wire.Reader.of_string (encode_env ~ctx:sample_ctx req))
-      in
-      if ctx <> Some sample_ctx then Alcotest.failf "request %d: context lost" i;
-      if req' <> req then Alcotest.failf "request %d: body did not roundtrip" i)
+      List.iter
+        (fun (ctx, budget_ms) ->
+          let env, req' = decode_env (encode_env ?ctx ?budget_ms req) in
+          if env.env_ctx <> ctx then Alcotest.failf "request %d: context lost" i;
+          if env.env_budget_ms <> budget_ms then Alcotest.failf "request %d: budget lost" i;
+          if req' <> req then Alcotest.failf "request %d: body did not roundtrip" i)
+        [ (None, None); (Some sample_ctx, None); (None, Some 30_000); (Some sample_ctx, Some 250) ])
     all_requests
 
-let test_envelope_absent_is_bare () =
+let test_envelope_missing_rejected () =
   List.iteri
     (fun i req ->
-      (* No context -> byte-identical to the pre-envelope encoding, so old
-         servers still understand tracing-off clients. *)
       let bare =
         let buf = Iw_wire.Buf.create () in
         encode_request buf req;
         Iw_wire.Buf.contents buf
       in
-      if encode_env req <> bare then Alcotest.failf "request %d: envelope added without ctx" i;
-      let ctx, req' = decode_request_env (Iw_wire.Reader.of_string bare) in
-      if ctx <> None then Alcotest.failf "request %d: phantom context" i;
-      if req' <> req then Alcotest.failf "request %d: bare body did not roundtrip" i)
+      match decode_env bare with
+      | _ -> Alcotest.failf "request %d: bare request accepted" i
+      | exception Iw_wire.Malformed _ -> ())
     all_requests
+
+(* The bytes of the three per-operation requests with the 30 s budget every
+   timeout-armed link stamps, recorded before the envelope became mandatory;
+   they fix what each operation puts on the wire. *)
+let test_envelope_golden_bytes () =
+  let hex s =
+    String.to_seq s
+    |> Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+    |> List.of_seq |> String.concat ""
+  in
+  List.iter
+    (fun (req, plain, traced) ->
+      let v = request_variant req in
+      Alcotest.(check string) (v ^ " with budget") plain (hex (encode_env ~budget_ms:30_000 req));
+      Alcotest.(check string) (v ^ " with budget and context") traced
+        (hex (encode_env ~ctx:sample_ctx ~budget_ms:30_000 req)))
+    [
+      ( Read_lock { session = 4; name = "s"; version = 7; coherence = Delta 3 },
+        "e7010200007530\
+         0300000004000173000000070100000003",
+        "e701030000123456789abc00000000000000420000000700007530\
+         0300000004000173000000070100000003" );
+      ( Write_release { session = 7; name = "s"; diff = sample_diff },
+        "e7010200007530\
+         0600000007000173000000010000000200010000000300050000000200000000040000000100000002000000030000000378797a0200000009",
+        "e701030000123456789abc00000000000000420000000700007530\
+         0600000007000173000000010000000200010000000300050000000200000000040000000100000002000000030000000378797a0200000009" );
+      ( Read_release { session = 5; name = "s" },
+        "e7010200007530\
+         0400000005000173",
+        "e701030000123456789abc00000000000000420000000700007530\
+         0400000005000173" );
+    ]
 
 let test_envelope_bad_version_rejected () =
   let s = Bytes.of_string (encode_env ~ctx:sample_ctx (Checkpoint { session = 1 })) in
   Bytes.set s 1 '\x02';
   try
-    ignore (decode_request_env (Iw_wire.Reader.of_string (Bytes.to_string s)));
+    ignore (decode_env (Bytes.to_string s));
     Alcotest.fail "unknown proto version accepted"
   with Iw_wire.Malformed _ -> ()
 
@@ -247,14 +245,14 @@ let test_envelope_unknown_feature_rejected () =
      cannot skip what it cannot measure. *)
   Bytes.set s 2 (Char.chr (Char.code (Bytes.get s 2) lor 0x80));
   try
-    ignore (decode_request_env (Iw_wire.Reader.of_string (Bytes.to_string s)));
+    ignore (decode_env (Bytes.to_string s));
     Alcotest.fail "unknown feature bits accepted"
   with Iw_wire.Malformed _ -> ()
 
 let test_envelope_truncated_rejected () =
   let check_prefixes what s =
     for n = 0 to String.length s - 1 do
-      match decode_request_env (Iw_wire.Reader.of_string (String.sub s 0 n)) with
+      match decode_env (String.sub s 0 n) with
       | _ -> Alcotest.failf "%s: %d-byte prefix decoded" what n
       | exception Iw_wire.Malformed _ -> ()
     done
@@ -296,9 +294,9 @@ let suite =
       Alcotest.test_case "request roundtrips" `Quick test_request_roundtrips;
       Alcotest.test_case "response roundtrips" `Quick test_response_roundtrips;
       Alcotest.test_case "malformed rejected" `Quick test_malformed_rejected;
-      Alcotest.test_case "framed link" `Quick test_framed_link;
       Alcotest.test_case "envelope roundtrips" `Quick test_envelope_roundtrips;
-      Alcotest.test_case "envelope absent is bare" `Quick test_envelope_absent_is_bare;
+      Alcotest.test_case "envelope missing rejected" `Quick test_envelope_missing_rejected;
+      Alcotest.test_case "envelope golden bytes" `Quick test_envelope_golden_bytes;
       Alcotest.test_case "envelope bad version rejected" `Quick
         test_envelope_bad_version_rejected;
       Alcotest.test_case "envelope unknown feature rejected" `Quick

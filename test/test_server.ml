@@ -419,6 +419,31 @@ let test_merged_span_updates () =
   end
   | _ -> Alcotest.fail "expected update"
 
+(* Over a real connection, a frame without the request envelope is
+   malformed: it draws R_error, and the connection keeps serving. *)
+let test_bare_request_rejected () =
+  let t = Iw_server.create () in
+  let client_end, server_end = Iw_transport.loopback () in
+  let th = Thread.create (fun () -> Iw_server.serve_conn t server_end) () in
+  let exchange encode =
+    let buf = Iw_wire.Buf.create () in
+    encode buf (Hello { arch = "x86_32" });
+    client_end.Iw_transport.send (Iw_wire.Buf.contents buf);
+    let r = Iw_wire.Reader.of_string (client_end.Iw_transport.recv ()) in
+    Alcotest.(check int) "response frame" 0 (Iw_wire.Reader.u8 r);
+    decode_response r
+  in
+  (match exchange encode_request with
+  | R_error msg ->
+    Alcotest.(check bool) ("malformed reply: " ^ msg) true
+      (String.starts_with ~prefix:"malformed: " msg)
+  | _ -> Alcotest.fail "bare request accepted");
+  (match exchange (fun buf req -> encode_request_env buf req) with
+  | R_hello _ -> ()
+  | _ -> Alcotest.fail "connection did not survive the bare request");
+  client_end.Iw_transport.close ();
+  Thread.join th
+
 let suite =
   ( "server",
     [
@@ -436,4 +461,5 @@ let suite =
       Alcotest.test_case "stat" `Quick test_stat;
       Alcotest.test_case "checkpoint files" `Quick test_checkpoint_files;
       Alcotest.test_case "merged span updates" `Quick test_merged_span_updates;
+      Alcotest.test_case "bare request rejected" `Quick test_bare_request_rejected;
     ] )

@@ -352,7 +352,7 @@ let labelled_counter t base label value =
 (* End-to-end overload control on a sharded server: slow@shard fault
    injection saturates one shard on demand, so with queue_max:1 concurrent
    gated reads overflow the mailbox (shed_total{reason=queue_full} moves and
-   plain R_busy comes back — no deadline was stamped, so no hint), the
+   R_busy_hint comes back, deadline or not), the
    overload state machine degrades the shard to read-only (new write locks
    shed with reason=read_only), and the urgent lane keeps working throughout:
    control-plane requests and releases are never refused. *)
@@ -397,7 +397,7 @@ let test_overload_shed_and_urgent_lane () =
                   ignore
                     (Iw_server.handle t (Read_release { session = rs; name = slow_seg })
                       : Iw_proto.response)
-                | R_busy -> Thread.yield () (* shed, or the write lock was held *)
+                | R_busy_hint _ -> Thread.yield () (* shed *)
                 | _ -> Atomic.incr failures
               done
             with _ -> Atomic.incr failures)
@@ -437,31 +437,29 @@ let test_overload_shed_and_urgent_lane () =
   for _ = 1 to 3 do
     ignore (get_version t s slow_seg : int)
   done;
-  (* The deadline stamp is the capability announcement: a stamped request
-     that gets shed draws the typed hint (clamped to [5, 2000] ms); the
-     unstamped flood above only ever saw plain R_busy — an old client never
-     meets a response tag it cannot decode. *)
-  let rec hint_probe tries =
-    if tries = 0 then Alcotest.fail "stamped request never saw a shed"
+  (* A shed always draws the typed hint (clamped to [5, 2000] ms), with or
+     without a stamped deadline; plain R_busy means only that another
+     session holds the write lock. *)
+  let rec hint_probe ?deadline_us tries =
+    if tries = 0 then Alcotest.fail "request never saw a shed"
     else
       match
-        Iw_server.handle
-          ~deadline_us:(Iw_metrics.now_us () +. 10_000_000.)
-          t
+        Iw_server.handle ?deadline_us t
           (Read_lock { session = s; name = slow_seg; version = 0; coherence = Full })
       with
       | R_busy_hint { retry_after_ms } ->
         Alcotest.(check bool) "hint within the documented clamp" true
           (retry_after_ms >= 5 && retry_after_ms <= 2000)
-      | R_busy -> Alcotest.fail "stamped request must get the hint form of a shed"
+      | R_busy -> Alcotest.fail "a shed must get the hint form of busy"
       | R_update _ ->
         ignore
           (Iw_server.handle t (Read_release { session = s; name = slow_seg })
             : Iw_proto.response);
-        hint_probe (tries - 1)
-      | _ -> hint_probe (tries - 1)
+        hint_probe ?deadline_us (tries - 1)
+      | _ -> hint_probe ?deadline_us (tries - 1)
   in
   hint_probe 500;
+  hint_probe ~deadline_us:(Iw_metrics.now_us () +. 10_000_000.) 500;
   Atomic.set stop_flood true;
   List.iter Thread.join readers;
   Alcotest.(check int) "no reader saw an error reply" 0 (Atomic.get failures);

@@ -133,6 +133,41 @@ let test_slowlog_and_top_live () =
           Alcotest.(check bool) ("top shows " ^ needle) true (contains out needle))
         [ "req/s"; "VARIANT"; "P99_US"; "SEGMENT"; seg_name 0 ])
 
+(* iw-admin dials like every other client: a fresh server that has seen no
+   other client counts iw-admin's own CRC negotiation.  iw-admin polls for
+   the server to come up, so it is the only client the server ever sees. *)
+let test_admin_negotiates_crc () =
+  let port = Test_durability.free_port () in
+  let pid =
+    Unix.create_process server_exe
+      [| server_exe; "--port"; string_of_int port |]
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid))
+    (fun () ->
+      let rec stats attempts =
+        match run_exe admin_exe [ "stats"; "--prom"; "-p"; string_of_int port ] with
+        | 0, out -> out
+        | code, _ when attempts = 0 -> Alcotest.failf "iw-admin stats exit %d" code
+        | _ ->
+          Unix.sleepf 0.05;
+          stats (attempts - 1)
+      in
+      let series = "iw_server_request_us_count{variant=\"enable_crc\"} " in
+      let negotiations =
+        String.split_on_char '\n' (stats 100)
+        |> List.find_map (fun l ->
+               if String.starts_with ~prefix:series l then
+                 float_of_string_opt
+                   (String.sub l (String.length series) (String.length l - String.length series))
+               else None)
+      in
+      Alcotest.(check bool) "enable_crc served to iw-admin" true
+        (match negotiations with Some n -> n >= 1. | None -> false))
+
 (* Iw_slowlog unit behaviour: top-K selection, eviction of the fastest,
    limit handling, and the min_us pre-filter. *)
 let observe_lat t ?(variant = "read_lock") lat =
@@ -165,4 +200,5 @@ let suite =
       Alcotest.test_case "min_us pre-filter" `Quick test_slowlog_min_us;
       Alcotest.test_case "k=0 disabled" `Quick test_slowlog_disabled;
       Alcotest.test_case "live over tcp with iw-admin top" `Slow test_slowlog_and_top_live;
+      Alcotest.test_case "iw-admin negotiates frame CRCs" `Quick test_admin_negotiates_crc;
     ] )
