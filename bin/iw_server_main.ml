@@ -10,11 +10,7 @@ let setup_logging verbose =
 let run port checkpoint_dir checkpoint_secs fsync trace lease_secs fault_plan
     domains verbose =
   setup_logging verbose;
-  (match trace with
-  | Some path ->
-    Iw_trace.start ~path ();
-    Logs.info (fun m -> m "tracing to %s (written at exit)" path)
-  | None -> ());
+  Option.iter (fun path -> Iw_trace.start ~mode:(Iw_trace.env_mode ()) ~path ()) trace;
   (* --fault-plan beats IW_FAULT; either way a bad plan is a startup error,
      not something to discover mid-traffic. *)
   let fault =
@@ -44,27 +40,39 @@ let run port checkpoint_dir checkpoint_secs fsync trace lease_secs fault_plan
         Printf.eprintf "iw-server: invalid --fsync: %s\n" msg;
         exit 1)
   in
-  let server = Iw_server.create ?checkpoint_dir ?domains ?lease_secs ?fsync () in
-  if Iw_server.domains server > 1 then
-    Logs.info (fun m ->
-        m "sharded across %d domains (group commit)" (Iw_server.domains server));
-  (match Iw_server.store server with
-  | Some store ->
-    Logs.info (fun m ->
-        m "durable store in %s (write-ahead log, fsync %a)" (Iw_store.dir store)
-          Iw_store.pp_fsync (Iw_store.fsync_policy store))
-  | None -> ());
-  (match lease_secs with
-  | Some l ->
-    Logs.info (fun m ->
-        m "session leases: %.1fs (locks survive disconnects, reclaimed when quiet)" l)
-  | None -> ());
+  (* A bad IW_DOMAINS, IW_SHARD_QUEUE_MAX, IW_FSYNC or IW_METRICS value is a
+     startup error that names the variable. *)
+  let server =
+    match Iw_server.create ?checkpoint_dir ?domains ?lease_secs ?fsync () with
+    | server -> server
+    | exception Invalid_argument msg ->
+      Printf.eprintf "iw-server: %s\n" msg;
+      exit 1
+  in
+  (* The effective value of every knob, whichever of flag, environment or
+     default it came from, in one line. *)
+  let opt f = function Some v -> f v | None -> "none" in
+  Logs.app (fun m ->
+      m
+        "config: domains=%d queue_max=%s store=%s fsync=%s lease=%s metrics=%s \
+         trace=%s flight_dump=%s fault=%s"
+        (Iw_server.domains server)
+        (opt string_of_int (Iw_server.queue_max server))
+        (opt Fun.id checkpoint_dir)
+        (opt
+           (fun st -> Format.asprintf "%a" Iw_store.pp_fsync (Iw_store.fsync_policy st))
+           (Iw_server.store server))
+        (opt (Printf.sprintf "%gs") lease_secs)
+        (if Iw_metrics.enabled (Iw_server.metrics server) then "on" else "off")
+        (opt
+           (fun (path, mode) ->
+             path ^ match mode with Iw_trace.Append -> ":append" | Overwrite -> ":overwrite")
+           (Iw_trace.output ()))
+        (Option.value (Iw_flight.dump_target ()) ~default:"stderr")
+        (opt (Format.asprintf "%a" Iw_fault.pp) fault));
   (match fault with
   | Some p -> Logs.app (fun m -> m "FAULT INJECTION ACTIVE: %a" Iw_fault.pp p)
   | None -> ());
-  Logs.info (fun m ->
-      m "metrics %s (IW_METRICS overrides; dump with iw-admin stats)"
-        (if Iw_metrics.enabled (Iw_server.metrics server) then "enabled" else "disabled"));
   (match checkpoint_dir with
   | Some dir ->
     Logs.info (fun m -> m "checkpointing to %s every %.0fs" dir checkpoint_secs);

@@ -57,10 +57,7 @@ let start_server ?checkpoint_dir ?domains ?lease_secs ?fsync () =
    critical sections are tolerated (harnesses routinely verify results after
    releasing their locks); everything else reports.  Findings are dumped to
    stderr at process exit. *)
-let sanitize_env =
-  match Sys.getenv_opt "IW_SANITIZE" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
+let sanitize_env = Iw_metrics.env_flag "IW_SANITIZE" ~default:false
 
 let maybe_sanitize c =
   if sanitize_env then begin

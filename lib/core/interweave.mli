@@ -33,19 +33,20 @@ module Metrics = Iw_metrics
 (** Counters, gauges, latency/size histograms; snapshot, Prometheus text
     exposition, JSON.  Registries: {!Client.metrics} (per client, default
     off), {!Server.metrics} (per server, default on), {!Transport.metrics}
-    (process-global, default on).  [IW_METRICS] overrides the defaults. *)
+    (process-global, default on).  [IW_METRICS=0|1] overrides the defaults;
+    any other value is a startup error. *)
 
 module Trace = Iw_trace
 (** Structured tracing to Chrome [trace_event] JSON (Perfetto-loadable).
     [IW_TRACE=<path>] enables it for a whole process with no code changes;
-    [IW_TRACE_MODE=append|unique] lets several processes share a path.
+    [IW_TRACE_MODE=append] lets several processes share a path.
     Requests issued while tracing carry a trace-context envelope
     ({!Proto.trace_ctx}), so client and server spans share one timeline. *)
 
 module Flight = Iw_flight
-(** Crash flight recorder: a lock-free ring of recent request events, on by
-    default in servers ([IW_FLIGHT=0] disables), dumped as JSON on decode
-    failures, uncaught exceptions, [SIGUSR1], or [iw-admin flight]. *)
+(** Crash flight recorder: a lock-free ring of recent request events, always
+    on in servers, dumped as JSON on decode failures, uncaught exceptions,
+    [SIGUSR1], or [iw-admin flight]. *)
 
 module Obs_json = Iw_obs_json
 (** The minimal JSON representation used by metric and benchmark output. *)
@@ -122,11 +123,11 @@ val start_server :
     lose their locks to the next contender. *)
 
 (** The three client constructors below also honour the [IW_SANITIZE]
-    environment variable: any value other than empty or ["0"] attaches a
-    collecting {!Iw_sanitizer} (with relaxed out-of-lock reads) to every
-    client they build and prints its findings to stderr at process exit —
-    a zero-code-change sweep of a whole program for lock-discipline
-    violations. *)
+    environment variable: [IW_SANITIZE=1] attaches a collecting
+    {!Iw_sanitizer} (with relaxed out-of-lock reads) to every client they
+    build and prints its findings to stderr at process exit — a
+    zero-code-change sweep of a whole program for lock-discipline
+    violations.  Values other than [0], [1] or empty are a startup error. *)
 
 val direct_client : ?arch:Arch.t -> server -> client
 (** A client wired straight to an in-process server — no transport between

@@ -3,10 +3,10 @@
    the caller already holds and no locking.  The write cursor is a plain int
    advanced non-atomically — concurrent systhread writers can interleave on a
    slot, which at worst garbles that one entry; the recorder trades that
-   benign race for a hot path that is one branch when disabled and a handful
-   of stores when enabled.  Dumps happen on uncaught server exceptions,
-   decode failures, SIGUSR1, or an admin request — the cases where the
-   aggregate metrics snapshot can't say which request hurt. *)
+   benign race for a hot path of a handful of stores.  Dumps happen on
+   uncaught server exceptions, decode failures, SIGUSR1, or an admin
+   request — the cases where the aggregate metrics snapshot can't say which
+   request hurt. *)
 
 type event = {
   mutable fe_t : float;  (* wall clock, seconds *)
@@ -18,7 +18,6 @@ type event = {
 }
 
 type t = {
-  f_on : bool ref;
   f_ring : event array;
   mutable f_next : int;  (* monotonically increasing; slot = f_next mod cap *)
 }
@@ -29,35 +28,19 @@ let empty_event () =
   { fe_t = 0.; fe_seq = 0; fe_variant = ""; fe_segment = ""; fe_version = 0;
     fe_latency_us = 0. }
 
-let create ?(capacity = default_capacity) ?(enabled = true) () =
+let create ?(capacity = default_capacity) () =
   if capacity <= 0 then invalid_arg "Iw_flight.create: capacity must be positive";
-  { f_on = ref enabled;
-    f_ring = Array.init capacity (fun _ -> empty_event ());
-    f_next = 0 }
-
-let enabled t = !(t.f_on)
-
-let set_enabled t b = t.f_on := b
-
-(* IW_FLIGHT mirrors the IW_METRICS policy: unset means [default], "" or "0"
-   disables, anything else enables. *)
-let env_enabled ~default =
-  match Sys.getenv_opt "IW_FLIGHT" with
-  | None -> default
-  | Some ("" | "0") -> false
-  | Some _ -> true
+  { f_ring = Array.init capacity (fun _ -> empty_event ()); f_next = 0 }
 
 let record t ?(seq = 0) ?(segment = "") ?(version = 0) ?(latency_us = 0.) variant =
-  if !(t.f_on) then begin
-    let slot = t.f_ring.(t.f_next mod Array.length t.f_ring) in
-    t.f_next <- t.f_next + 1;
-    slot.fe_t <- Unix.gettimeofday ();
-    slot.fe_seq <- seq;
-    slot.fe_variant <- variant;
-    slot.fe_segment <- segment;
-    slot.fe_version <- version;
-    slot.fe_latency_us <- latency_us
-  end
+  let slot = t.f_ring.(t.f_next mod Array.length t.f_ring) in
+  t.f_next <- t.f_next + 1;
+  slot.fe_t <- Unix.gettimeofday ();
+  slot.fe_seq <- seq;
+  slot.fe_variant <- variant;
+  slot.fe_segment <- segment;
+  slot.fe_version <- version;
+  slot.fe_latency_us <- latency_us
 
 type view = {
   v_t : float;
@@ -106,6 +89,11 @@ let dump_string t = Iw_obs_json.to_string (render_json t)
 
 (* IW_FLIGHT_DUMP names the dump file, read at dump time so a long-lived
    server picks up the current environment; default is stderr. *)
+let dump_target () =
+  match Sys.getenv_opt "IW_FLIGHT_DUMP" with
+  | Some path when path <> "" -> Some path
+  | _ -> None
+
 let dump ?reason t =
   let body = dump_string t in
   let header =
@@ -113,11 +101,11 @@ let dump ?reason t =
     | None -> "iw-flight dump"
     | Some r -> Printf.sprintf "iw-flight dump (%s)" r
   in
-  match Sys.getenv_opt "IW_FLIGHT_DUMP" with
-  | Some path when path <> "" ->
+  match dump_target () with
+  | Some path ->
     let oc = open_out path in
     output_string oc body;
     output_char oc '\n';
     close_out oc;
     Printf.eprintf "%s: written to %s\n%!" header path
-  | _ -> Printf.eprintf "%s: %s\n%!" header body
+  | None -> Printf.eprintf "%s: %s\n%!" header body

@@ -1,29 +1,20 @@
 (** Crash flight recorder: a fixed-size lock-free ring of the most recent
-    request-level events (seq, variant, segment, version, latency), kept hot
-    at ~zero cost — recording is one branch when disabled and a few stores
-    when enabled, with no locks and no allocation — and dumped as JSON when
-    something the metrics snapshot can't explain goes wrong: an uncaught
-    server exception, a wire decode failure, [SIGUSR1], or an admin
-    [Flight_recorder] request.
+    request-level events (seq, variant, segment, version, latency), always
+    on at ~zero cost — recording is a few stores, with no locks and no
+    allocation — and dumped as JSON when something the metrics snapshot
+    can't explain goes wrong: an uncaught server exception, a wire decode
+    failure, [SIGUSR1], or an admin [Flight_recorder] request.
 
     Concurrent writers may interleave on a ring slot; a torn entry in a
     post-mortem dump is the accepted cost of a lock-free hot path. *)
 
 type t
 
-val create : ?capacity:int -> ?enabled:bool -> unit -> t
-(** [capacity] defaults to {!default_capacity}; [enabled] to [true]. *)
+val create : ?capacity:int -> unit -> t
+(** [capacity] defaults to {!default_capacity}. *)
 
 val default_capacity : int
 (** 256 events. *)
-
-val enabled : t -> bool
-
-val set_enabled : t -> bool -> unit
-
-val env_enabled : default:bool -> bool
-(** The [IW_FLIGHT] environment policy: unset means [default]; [""] or ["0"]
-    means disabled; anything else means enabled. *)
 
 val record :
   t ->
@@ -34,8 +25,7 @@ val record :
   string ->
   unit
 (** [record t ~seq ~segment ~version ~latency_us variant] appends one event,
-    overwriting the oldest once the ring is full.  One branch when
-    disabled. *)
+    overwriting the oldest once the ring is full. *)
 
 type view = {
   v_t : float;  (** wall-clock seconds *)
@@ -56,6 +46,9 @@ val render_json : t -> Iw_obs_json.t
 
 val dump_string : t -> string
 
+val dump_target : unit -> string option
+(** The file named by [IW_FLIGHT_DUMP] (read on each call); [None] means
+    stderr. *)
+
 val dump : ?reason:string -> t -> unit
-(** Write the JSON dump to the file named by [IW_FLIGHT_DUMP] (read at dump
-    time), or to stderr when unset; [reason] tags the log line. *)
+(** Write the JSON dump to {!dump_target}; [reason] tags the log line. *)

@@ -19,18 +19,11 @@ type t = {
     (wait_us:float -> variant:string -> segment:string -> unit) option;
 }
 
-let default_contention_us () =
-  match Sys.getenv_opt "IW_LOCK_CONTENTION_US" with
-  | Some s -> (
-    match float_of_string_opt (String.trim s) with
-    | Some v when v >= 0. -> v
-    | _ -> 10_000.)
-  | None -> 10_000.
-
-let create ?metrics ?(prefix = "iw_lock") ?(shard = "") ?contention_us mutex =
-  let contention_us =
-    match contention_us with Some v -> v | None -> default_contention_us ()
-  in
+(* 10 ms is over 100x the per-request lock wait (mailbox wait included) of
+   a durable-write workload with fsync on every append, so only a real
+   convoy leaves a flight-recorder breadcrumb. *)
+let create ?metrics ?(prefix = "iw_lock") ?(shard = "") ?(contention_us = 10_000.)
+    mutex =
   {
     l_mutex = mutex;
     l_metrics = metrics;
@@ -55,8 +48,6 @@ let mutex t = t.l_mutex
 let queue_depth t = Atomic.get t.l_queue
 
 let inflight t = Atomic.get t.l_inflight
-
-let contention_us t = t.l_contention_us
 
 let set_on_contention t cb = t.l_on_contention <- Some cb
 

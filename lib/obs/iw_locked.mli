@@ -12,9 +12,9 @@
       (threads waiting or holding) gauges, read by {!queue_depth} /
       {!inflight} — the server exposes them as collect-time probes;
     - a {b contention event} through {!set_on_contention} when the wait
-      exceeds a threshold ([IW_LOCK_CONTENTION_US], default 10 ms) — the
-      server wires this to its flight recorder, so "who was stuck behind
-      whom" survives into crash dumps.
+      exceeds a threshold (default 10 ms) — the server wires this to its
+      flight recorder, so "who was stuck behind whom" survives into crash
+      dumps.
 
     The wrapper survived the shard split exactly as designed: callers name
     the section they want, not the mutex they got, so per-shard instances
@@ -41,8 +41,8 @@ val create :
     [<prefix>_wait_us{shard="..."}] / [..._hold_us{shard="..."}] pair —
     the registry deduplicates by name, so several per-shard instances
     sharing one registry still feed a single unlabeled aggregate series.
-    [contention_us] is the wait threshold for {!set_on_contention} events;
-    default from [IW_LOCK_CONTENTION_US], else [10_000.]. *)
+    [contention_us] is the wait threshold for {!set_on_contention} events
+    (default [10_000.]). *)
 
 val mutex : t -> Mutex.t
 (** The wrapped mutex, for the few callers that need a bare
@@ -73,9 +73,7 @@ val queue_depth : t -> int
 val inflight : t -> int
 (** Threads currently inside {!with_lock} — waiting or holding. *)
 
-val contention_us : t -> float
-
 val set_on_contention :
   t -> (wait_us:float -> variant:string -> segment:string -> unit) -> unit
 (** Called (with the lock held, so keep it cheap and reentrancy-free) after
-    any acquisition that waited at least {!contention_us}. *)
+    any acquisition that waited at least the [contention_us] threshold. *)

@@ -57,11 +57,14 @@ let reset t =
   Hashtbl.reset t.r_items;
   Mutex.unlock t.r_mutex
 
-let env_enabled ~default =
-  match Sys.getenv_opt "IW_METRICS" with
-  | None -> default
-  | Some ("" | "0") -> false
-  | Some _ -> true
+let env_flag name ~default =
+  match Sys.getenv_opt name with
+  | None | Some "" -> default
+  | Some "0" -> false
+  | Some "1" -> true
+  | Some s -> invalid_arg (Printf.sprintf "%s: expected 0 or 1, got %S" name s)
+
+let env_enabled ~default = env_flag "IW_METRICS" ~default
 
 let with_label name k v =
   let buf = Buffer.create (String.length name + String.length k + String.length v + 8) in

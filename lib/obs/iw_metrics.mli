@@ -28,9 +28,14 @@ val reset : t -> unit
     appear in snapshots.  Intended for tests that must not leak series
     between cases. *)
 
+val env_flag : string -> default:bool -> bool
+(** [env_flag name ~default] reads the on/off environment switch [name]
+    ([IW_METRICS], [IW_SANITIZE]): unset or [""] means [default], ["0"]
+    off, ["1"] on.  Any other value raises [Invalid_argument "<name>: …"],
+    so a typo such as [false] fails at startup instead of meaning "on". *)
+
 val env_enabled : default:bool -> bool
-(** The [IW_METRICS] environment policy: unset means [default]; [""] or
-    ["0"] means disabled; anything else means enabled. *)
+(** [env_flag "IW_METRICS"]. *)
 
 val with_label : string -> string -> string -> string
 (** [with_label name k v] is [name{k="v"}], extending an existing label set

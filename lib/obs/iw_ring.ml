@@ -24,24 +24,6 @@ let create ?(capacity = 64) ?(window_s = 5.) () =
     len = 0;
   }
 
-let of_env () =
-  let int_env name d =
-    match Sys.getenv_opt name with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with Some v -> v | None -> d)
-    | None -> d
-  in
-  let float_env name d =
-    match Sys.getenv_opt name with
-    | Some s -> (
-      match float_of_string_opt (String.trim s) with Some v -> v | None -> d)
-    | None -> d
-  in
-  create
-    ~capacity:(int_env "IW_RING_N" 64)
-    ~window_s:(float_env "IW_RING_WINDOW_S" 5.)
-    ()
-
 let capacity t = t.capacity
 
 let window_s t = t.window_s

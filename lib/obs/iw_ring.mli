@@ -31,10 +31,6 @@ val create : ?capacity:int -> ?window_s:float -> unit -> t
     owner's target roll interval (default [5.]) — advisory, stored here so
     owner and readers agree. *)
 
-val of_env : unit -> t
-(** {!create} with [IW_RING_N] and [IW_RING_WINDOW_S] overriding the
-    defaults. *)
-
 val capacity : t -> int
 
 val window_s : t -> float

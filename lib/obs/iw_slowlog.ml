@@ -20,46 +20,28 @@ type entry = {
 type t = {
   mutex : Mutex.t;
   k : int;
-  window_s : float;
-  min_us : float;
   mutable cur_start : float;
   mutable cur : entry list;  (* ascending by latency, length <= k *)
   mutable prev : entry list;
 }
 
-let create ?(k = 32) ?(window_s = 10.) ?(min_us = 0.) () =
+let window_s = 10.
+
+let create ?(k = 32) () =
   {
     mutex = Mutex.create ();
     k = max 0 k;
-    window_s = (if window_s > 0. then window_s else 10.);
-    min_us = max 0. min_us;
     cur_start = Unix.gettimeofday ();
     cur = [];
     prev = [];
   }
 
-let of_env () =
-  let int_env name d =
-    match Sys.getenv_opt name with
-    | Some s -> ( match int_of_string_opt (String.trim s) with Some v -> v | None -> d)
-    | None -> d
-  in
-  let float_env name d =
-    match Sys.getenv_opt name with
-    | Some s -> (
-      match float_of_string_opt (String.trim s) with Some v -> v | None -> d)
-    | None -> d
-  in
-  create ~k:(int_env "IW_SLOWLOG_K" 32)
-    ~window_s:(float_env "IW_SLOWLOG_WINDOW_S" 10.)
-    ~min_us:(float_env "IW_SLOWLOG_MIN_US" 0.) ()
-
 (* Call with the mutex held. *)
 let roll_locked t now =
-  if now -. t.cur_start >= t.window_s then begin
+  if now -. t.cur_start >= window_s then begin
     (* More than two whole windows of silence means even the previous
        window is stale — drop both rather than promoting ancient entries. *)
-    if now -. t.cur_start >= 2. *. t.window_s then t.prev <- []
+    if now -. t.cur_start >= 2. *. window_s then t.prev <- []
     else t.prev <- t.cur;
     t.cur <- [];
     t.cur_start <- now
@@ -73,33 +55,32 @@ let rec insert_sorted e = function
 let observe t ~variant ~segment ~session ~seq ~trace_id ~span_id
     ?(wait_us = 0.) ?(service_us = 0.) ?(wal_us = 0.) ?(deadline_missed = false)
     latency_us =
-  if t.k > 0 && latency_us >= t.min_us then begin
-    let now = Unix.gettimeofday () in
-    let entry =
-      {
-        e_t = now;
-        e_variant = variant;
-        e_segment = segment;
-        e_session = session;
-        e_seq = seq;
-        e_trace_id = trace_id;
-        e_span_id = span_id;
-        e_latency_us = latency_us;
-        e_wait_us = wait_us;
-        e_service_us = service_us;
-        e_wal_us = wal_us;
-        e_deadline_missed = deadline_missed;
-      }
-    in
-    Mutex.lock t.mutex;
-    roll_locked t now;
-    (match t.cur with
-    | fastest :: rest when List.length t.cur >= t.k ->
-      if latency_us > fastest.e_latency_us then
-        t.cur <- insert_sorted entry rest
-    | _ -> t.cur <- insert_sorted entry t.cur);
-    Mutex.unlock t.mutex
-  end
+  let now = Unix.gettimeofday () in
+  let entry =
+    {
+      e_t = now;
+      e_variant = variant;
+      e_segment = segment;
+      e_session = session;
+      e_seq = seq;
+      e_trace_id = trace_id;
+      e_span_id = span_id;
+      e_latency_us = latency_us;
+      e_wait_us = wait_us;
+      e_service_us = service_us;
+      e_wal_us = wal_us;
+      e_deadline_missed = deadline_missed;
+    }
+  in
+  Mutex.lock t.mutex;
+  roll_locked t now;
+  (if List.length t.cur < t.k then t.cur <- insert_sorted entry t.cur
+   else
+     match t.cur with
+     | fastest :: rest when latency_us > fastest.e_latency_us ->
+       t.cur <- insert_sorted entry rest
+     | _ -> ());
+  Mutex.unlock t.mutex
 
 let snapshot ?limit t =
   let now = Unix.gettimeofday () in

@@ -33,16 +33,8 @@ type entry = {
 
 type t
 
-val create : ?k:int -> ?window_s:float -> ?min_us:float -> unit -> t
-(** [k] slowest entries kept per window (default [32]); [window_s] window
-    length in seconds (default [10.]); requests faster than [min_us]
-    (default [0.]) are not considered at all — a cheap pre-filter for very
-    hot servers. *)
-
-val of_env : unit -> t
-(** {!create} with [IW_SLOWLOG_K], [IW_SLOWLOG_WINDOW_S], and
-    [IW_SLOWLOG_MIN_US] overriding the defaults; [IW_SLOWLOG_K=0] keeps
-    nothing (the observe hook stays, snapshots are empty). *)
+val create : ?k:int -> unit -> t
+(** [k] slowest entries kept per 10 s window (default [32]). *)
 
 val observe :
   t ->

@@ -10,7 +10,6 @@ type ev = {
 type mode =
   | Overwrite
   | Append
-  | Unique
 
 let on = ref false
 
@@ -116,7 +115,7 @@ let existing_events path =
   end
 
 let write_file ~mode path evs =
-  let old = match mode with Append -> existing_events path | Overwrite | Unique -> [] in
+  let old = match mode with Append -> existing_events path | Overwrite -> [] in
   let buf = Buffer.create (256 * (1 + List.length evs + List.length old)) in
   Buffer.add_string buf "{\"traceEvents\":[";
   let pid = Unix.getpid () in
@@ -146,17 +145,7 @@ let stop () =
   Mutex.unlock mutex;
   match path with None -> () | Some p -> write_file ~mode p evs
 
-(* "trace.json" -> "trace.pid1234.json"; no extension appends the suffix. *)
-let unique_path path =
-  let suffix = Printf.sprintf "pid%d" (Unix.getpid ()) in
-  match String.rindex_opt path '.' with
-  | Some i when not (String.contains (String.sub path i (String.length path - i)) '/') ->
-    Printf.sprintf "%s.%s%s" (String.sub path 0 i) suffix
-      (String.sub path i (String.length path - i))
-  | _ -> Printf.sprintf "%s.%s" path suffix
-
 let start ?(mode = Overwrite) ~path () =
-  let path = match mode with Unique -> unique_path path | Overwrite | Append -> path in
   Mutex.lock mutex;
   out_path := Some path;
   out_mode := mode;
@@ -167,16 +156,25 @@ let start ?(mode = Overwrite) ~path () =
   Mutex.unlock mutex;
   if install then at_exit stop
 
+let output () =
+  Mutex.lock mutex;
+  let o = Option.map (fun p -> (p, !out_mode)) !out_path in
+  Mutex.unlock mutex;
+  o
+
 (* IW_TRACE=<path> attaches tracing for the whole process with no code
-   changes, mirroring IW_SANITIZE; IW_TRACE_MODE=append|unique lets the
-   client and server of one run share a path without clobbering. *)
+   changes, mirroring IW_SANITIZE; IW_TRACE_MODE=append lets the client and
+   server of one run share a path without clobbering.  A mode other than
+   append is a startup error, set or not IW_TRACE, so a typo cannot
+   silently overwrite. *)
 let env_mode () =
   match Sys.getenv_opt "IW_TRACE_MODE" with
+  | None | Some "" -> Overwrite
   | Some "append" -> Append
-  | Some "unique" -> Unique
-  | None | Some _ -> Overwrite
+  | Some s -> invalid_arg (Printf.sprintf "IW_TRACE_MODE: expected append, got %S" s)
 
 let () =
+  let mode = env_mode () in
   match Sys.getenv_opt "IW_TRACE" with
   | None | Some "" -> ()
-  | Some path -> start ~mode:(env_mode ()) ~path ()
+  | Some path -> start ~mode ~path ()

@@ -6,7 +6,7 @@
     guards on {!enabled}, so a disabled tracer costs one branch per event
     (the sanitizer-hook discipline).  Setting [IW_TRACE=<path>] in the
     environment enables tracing at program start and writes the file at
-    process exit ([IW_TRACE_MODE=append|unique] selects the output mode);
+    process exit ([IW_TRACE_MODE=append] merges into an existing file);
     {!start}/{!stop} do the same programmatically.
 
     Events are buffered in memory and flushed as one JSON document by
@@ -21,13 +21,14 @@ type mode =
       (** merge with the [traceEvents] already in [path], so the client and
           server of one run can share a file: whichever process exits last
           folds the other's events into a single Perfetto-valid document *)
-  | Unique
-      (** write to [path] with a [.pid<pid>] suffix spliced in before the
-          extension; merge the per-process files later (see README) *)
 
-val unique_path : string -> string
-(** The path {!Unique} mode would write: ["trace.json"] becomes
-    ["trace.pid1234.json"] (suffix appended when there is no extension). *)
+val env_mode : unit -> mode
+(** The [IW_TRACE_MODE] policy: unset or [""] is {!Overwrite}, [append] is
+    {!Append}; any other value raises [Invalid_argument "IW_TRACE_MODE: …"]. *)
+
+val output : unit -> (string * mode) option
+(** The path and mode the running trace will be written with; [None] when
+    tracing is off. *)
 
 val start : ?mode:mode -> path:string -> unit -> unit
 (** Begin recording; the trace is written to [path] by {!stop} or at process

@@ -138,10 +138,6 @@ type t = {
   t_expired_queue : Iw_metrics.counter;
   t_expired_wal : Iw_metrics.counter;
   t_snapshot_reads : Iw_metrics.counter;
-  t_lock_wait_hot : bool Atomic.t;
-      (* set by the lazy ring roll when the windowed lock-wait p99 crosses
-         IW_SHED_LOCKWAIT_US: the overload state machine then treats queue
-         depth twice as seriously (trend boost, no extra locking) *)
   t_slow_shard : (int * float) option;
       (* fault injection: per-shard service-time inflation (shard id,
          seconds) from the IW_FAULT plan's slow@shard clause *)
@@ -156,6 +152,8 @@ let stats t = t.t_stats
 let store t = t.shards.(0).sh_store
 
 let domains t = Array.length t.shards
+
+let queue_max t = t.t_queue_max
 
 (* Segment-name routing: stable FNV-1a so a segment lands on the same shard
    across restarts regardless of creation order — recovery and live routing
@@ -965,8 +963,7 @@ let recover_store t store =
              to log replay\n\
              %!"
             path msg dst;
-          if Iw_flight.enabled t.t_flight then
-            Iw_flight.record t.t_flight "ckpt_quarantine"
+          Iw_flight.record t.t_flight "ckpt_quarantine"
       end)
     files;
   Array.iter
@@ -992,9 +989,8 @@ let recover_store t store =
                 | `Stop -> stop := true)
             entries;
           Iw_store.note_recovery_us store (Iw_metrics.now_us () -. t0);
-          if Iw_flight.enabled t.t_flight then
-            Iw_flight.record t.t_flight ~segment:name ~version:seg.s_version
-              "store_replay";
+          Iw_flight.record t.t_flight ~segment:name ~version:seg.s_version
+            "store_replay";
           if !replayed > 0 then
             Printf.eprintf
               "iw-server: %s: recovered to version %d (checkpoint %d + %d \
@@ -1032,8 +1028,7 @@ let recover_store t store =
           Printf.eprintf
             "iw-server: %s: healed %d journal record(s) into segment log(s)\n%!"
             f !healed;
-          if Iw_flight.enabled t.t_flight then
-            Iw_flight.record t.t_flight "journal_heal"
+          Iw_flight.record t.t_flight "journal_heal"
         end;
         Iw_store.discard_journal store ~file:f
       end)
@@ -1048,14 +1043,6 @@ let env_pos_int name default =
     match int_of_string_opt (String.trim s) with
     | Some v when v > 0 -> v
     | _ -> invalid_arg (Printf.sprintf "%s: expected a positive integer, got %S" name s))
-
-let env_nonneg_float name default =
-  match Sys.getenv_opt name with
-  | None | Some "" -> default
-  | Some s -> (
-    match float_of_string_opt (String.trim s) with
-    | Some v when v >= 0. -> v
-    | _ -> invalid_arg (Printf.sprintf "%s: expected a number >= 0, got %S" name s))
 
 (* Group-commit flush, run by the shard's worker domain after each batch
    that deferred fsyncs: one fsync per dirty log.  Takes the shard lock so
@@ -1092,7 +1079,7 @@ let env_queue_max () =
   if v = 0 then None else Some v
 
 let create ?checkpoint_dir ?(diff_cache_capacity = 64) ?domains ?lease_secs ?fsync
-    ?queue_max () =
+    ?queue_max ?ring () =
   let nshards =
     let d = match domains with Some d -> d | None -> env_pos_int "IW_DOMAINS" 1 in
     max 1 (min d 64)
@@ -1136,16 +1123,11 @@ let create ?checkpoint_dir ?(diff_cache_capacity = 64) ?domains ?lease_secs ?fsy
   i "iw_server_pred_hits_total" "Last-block prediction hits" (fun () -> t_stats.pred_hits);
   i "iw_server_pred_misses_total" "Last-block prediction misses"
     (fun () -> t_stats.pred_misses);
-  (* The flight recorder stays on even when metrics are off: its hot path is
-     a few stores, and it exists for the crashes that happen when nobody was
-     watching.  IW_FLIGHT=0 disables it. *)
-  let t_flight =
-    Iw_flight.create ~enabled:(Iw_flight.env_enabled ~default:true) ()
-  in
-  (* Slow-request sampling is always armed (IW_SLOWLOG_K=0 disables): it is
-     O(K) memory and a comparison per request, and like the flight recorder
-     it exists for the slowness nobody was watching for. *)
-  let t_slowlog = Iw_slowlog.of_env () in
+  (* The flight recorder and the slow log are always on, even when metrics
+     are off: each costs a few stores or a comparison per request, and they
+     exist for the crash or the slowness nobody was watching for. *)
+  let t_flight = Iw_flight.create () in
+  let t_slowlog = Iw_slowlog.create () in
   (* The shards.  Each owns a disjoint set of segments behind its own
      instrumented lock; with one shard the label is suppressed so the
      single-domain metric output is byte-identical to the pre-shard server.
@@ -1164,9 +1146,8 @@ let create ?checkpoint_dir ?(diff_cache_capacity = 64) ?domains ?lease_secs ?fsy
            leaves a flight-recorder breadcrumb, so a saturation episode is
            visible in crash dumps, not just in histograms. *)
         Iw_locked.set_on_contention sh_locked (fun ~wait_us ~variant ~segment ->
-            if Iw_flight.enabled t_flight then
-              Iw_flight.record t_flight ~segment ~latency_us:wait_us
-                ("lock_contention:" ^ variant));
+            Iw_flight.record t_flight ~segment ~latency_us:wait_us
+              ("lock_contention:" ^ variant));
         let sh_store =
           match checkpoint_dir with
           | None -> None
@@ -1264,7 +1245,7 @@ let create ?checkpoint_dir ?(diff_cache_capacity = 64) ?domains ?lease_secs ?fsy
       t_flight;
       t_slowlog;
       t_phase = Iw_phase.create_stats ();
-      t_ring = Iw_ring.of_env ();
+      t_ring = (match ring with Some r -> r | None -> Iw_ring.create ());
       t_ring_mutex = Mutex.create ();
       t_ring_last = None;
       t_ring_next = 0.;
@@ -1302,7 +1283,6 @@ let create ?checkpoint_dir ?(diff_cache_capacity = 64) ?domains ?lease_secs ?fsy
             "Relaxed-coherence reads served inline from the committed \
              snapshot while the shard was shedding"
           "iw_server_snapshot_reads_total";
-      t_lock_wait_hot = Atomic.make false;
       t_slow_shard =
         (match Iw_fault.env_plan () with
         | Some plan -> plan.Iw_fault.p_slow
@@ -1418,7 +1398,7 @@ let diff_ctx t name =
 
 (* ---- Metric history ring ----
 
-   Every [IW_RING_WINDOW_S] seconds the request path (lazily — no
+   Every ring window (5 s by default) the request path (lazily — no
    dedicated thread) folds the metric snapshot into one Iw_ring point of
    derived scalars: counter and histogram rates, gauge levels, and
    windowed p50/p99 from bucket deltas.  Only unlabeled server/store
@@ -1487,10 +1467,6 @@ let ring_point ~t0 ~t1 old_snap new_snap =
    (under it); the ring mutex is a leaf, so both orders are safe.  An idle
    server rolls on its next request — the point's [p_dur] then honestly
    exceeds the window. *)
-(* Lock-wait trend threshold: a fresh ring point whose windowed lock-wait
-   p99 crosses this arms the overload state machine's boost. *)
-let shed_lockwait_us = lazy (env_nonneg_float "IW_SHED_LOCKWAIT_US" 50_000.)
-
 let maybe_roll t =
   if Iw_metrics.enabled t.t_metrics then begin
     let now = Unix.gettimeofday () in
@@ -1504,20 +1480,7 @@ let maybe_roll t =
             let snap = Iw_metrics.snapshot t.t_metrics in
             (match t.t_ring_last with
             | Some (t0, old) when now > t0 ->
-              let point = ring_point ~t0 ~t1:now old snap in
-              Iw_ring.push t.t_ring point;
-              (* Trend boost input for [overload_update]: reading it here,
-                 once per window, keeps the request path free of ring
-                 locking. *)
-              let hot =
-                match
-                  List.assoc_opt "iw_server_phase_us{phase=\"lock_wait\"}:p99"
-                    point.Iw_ring.p_values
-                with
-                | Some p99 -> p99 >= Lazy.force shed_lockwait_us
-                | None -> false
-              in
-              Atomic.set t.t_lock_wait_hot hot
+              Iw_ring.push t.t_ring (ring_point ~t0 ~t1:now old snap)
             | _ -> ());
             t.t_ring_last <- Some (now, snap)
           end)
@@ -1737,9 +1700,8 @@ let handle_seg_locked ?timer t sh (req : Iw_proto.request) : Iw_proto.response =
       if quiet_for > lease then begin
         seg.s_writer <- None;
         Iw_metrics.incr t.t_locks_reclaimed;
-        if Iw_flight.enabled t.t_flight then
-          Iw_flight.record t.t_flight ~segment:name ~version:seg.s_version
-            "lock_reclaim"
+        Iw_flight.record t.t_flight ~segment:name ~version:seg.s_version
+          "lock_reclaim"
       end
     | _ -> ());
     begin
@@ -1932,15 +1894,12 @@ let request_segment : Iw_proto.request -> string = function
    staleness by contract) instead of queueing behind writes.  Read-only
    additionally refuses {e new} write locks with a busy reply — writers
    already holding a lock still release (the urgent lane), so the queue
-   drains instead of wedging.  When the lazy ring roll saw a hot lock-wait
-   p99 trend, depth counts double: the machine degrades earlier while the
-   shard is already struggling, not just when the queue is long. *)
+   drains instead of wedging. *)
 let overload_update t sh exec =
   match t.t_queue_max with
   | None -> ()
   | Some cap ->
     let depth = Iw_shard.pending exec in
-    let depth = if Atomic.get t.t_lock_wait_hot then depth * 2 else depth in
     let st = Atomic.get sh.sh_state in
     let st' =
       match st with
@@ -2015,9 +1974,7 @@ let handle_routed ?deadline_us ?timer t req =
        dedup table, not here). *)
     let expired counter phase =
       Iw_metrics.incr counter;
-      if Iw_flight.enabled t.t_flight then
-        Iw_flight.record t.t_flight ~segment
-          ("expired:" ^ phase ^ ":" ^ variant);
+      Iw_flight.record t.t_flight ~segment ("expired:" ^ phase ^ ":" ^ variant);
       Iw_proto.R_expired { phase }
     in
     (* A release is the one request that {e frees} resources: it must not be
@@ -2057,8 +2014,7 @@ let handle_routed ?deadline_us ?timer t req =
       overload_update t sh exec;
       let shed ~reason counter =
         Iw_metrics.incr counter;
-        if Iw_flight.enabled t.t_flight then
-          Iw_flight.record t.t_flight ~segment ("shed:" ^ reason ^ ":" ^ variant);
+        Iw_flight.record t.t_flight ~segment ("shed:" ^ reason ^ ":" ^ variant);
         Iw_proto.R_busy_hint { retry_after_ms = busy_hint_ms (Iw_shard.pending exec) }
       in
       let state = Atomic.get sh.sh_state in
@@ -2206,103 +2162,95 @@ let finish_request t ~variant timer =
 let handle ?ctx ?deadline_us ?timer t req =
   let metrics_on = Iw_metrics.enabled t.t_metrics in
   let trace_on = Iw_trace.enabled () in
-  let flight_on = Iw_flight.enabled t.t_flight in
-  if not (metrics_on || trace_on || flight_on) then
-    handle_routed ?deadline_us ?timer t req
-  else begin
-    let owns_timer = timer = None && metrics_on in
-    let timer = if owns_timer then Some (Iw_phase.start ()) else timer in
-    let variant = Iw_proto.request_variant req in
-    let seq = match ctx with Some c -> c.Iw_proto.tc_seq | None -> 0 in
-    if trace_on then begin
-      let args = [ ("variant", variant) ] in
-      let args =
-        match ctx with
-        | None -> args
-        | Some c ->
-          ("trace_id", Iw_trace.pp_id c.Iw_proto.tc_trace_id)
-          :: ("parent_span_id", Iw_trace.pp_id c.Iw_proto.tc_span_id)
-          :: ("span_id", Iw_trace.pp_id (Iw_trace.next_id ()))
-          :: ("seq", string_of_int seq)
-          :: args
-      in
-      Iw_trace.span_begin ~args "server.handle"
-    end;
-    let t0 = Iw_metrics.now_us () in
-    let resp =
-      try handle_routed ?deadline_us ?timer t req
-      with e ->
-        (* handle_routed converts Reject/Malformed to R_error, so anything
-           escaping it is the unexplained kind of failure the flight
-           recorder exists for. *)
-        if flight_on then begin
-          Iw_flight.record t.t_flight ~seq ~segment:(request_segment req)
-            ~latency_us:(Iw_metrics.now_us () -. t0)
-            (variant ^ "!" ^ Printexc.to_string e);
-          Iw_flight.dump ~reason:("uncaught in " ^ variant) t.t_flight
-        end;
-        if trace_on then Iw_trace.span_end "server.handle";
-        raise e
+  let owns_timer = timer = None && metrics_on in
+  let timer = if owns_timer then Some (Iw_phase.start ()) else timer in
+  let variant = Iw_proto.request_variant req in
+  let seq = match ctx with Some c -> c.Iw_proto.tc_seq | None -> 0 in
+  if trace_on then begin
+    let args = [ ("variant", variant) ] in
+    let args =
+      match ctx with
+      | None -> args
+      | Some c ->
+        ("trace_id", Iw_trace.pp_id c.Iw_proto.tc_trace_id)
+        :: ("parent_span_id", Iw_trace.pp_id c.Iw_proto.tc_span_id)
+        :: ("span_id", Iw_trace.pp_id (Iw_trace.next_id ()))
+        :: ("seq", string_of_int seq)
+        :: args
     in
-    let dt = Iw_metrics.now_us () -. t0 in
-    if metrics_on then
-      Iw_metrics.observe
-        (Iw_metrics.histogram_us t.t_metrics
-           ~help:"Request dispatch latency by request variant"
-           (Iw_metrics.with_label "iw_server_request_us" "variant" variant))
-        dt;
-    (* The slow log takes its own short mutex, never the server lock — the
-       dispatch is already over.  Trace ids come straight from the envelope,
-       so a slow entry can be found in the matching Perfetto trace. *)
-    let phase_us p =
-      match timer with Some tm -> Iw_phase.elapsed_us tm p | None -> 0.
-    in
-    (match req with
-    | Iw_proto.Slow_log _ -> () (* reading the log must not pollute it *)
-    | _ ->
-      let trace_id, span_id =
-        match ctx with
-        | Some c -> (c.Iw_proto.tc_trace_id, c.Iw_proto.tc_span_id)
-        | None -> (0, 0)
-      in
-      (* A request that carried a budget and was shed, or that completed
-         only after its budget ran out, is flagged so [iw-admin slowlog]
-         can tell "slow" from "slow and already useless". *)
-      let deadline_missed =
-        match deadline_us with
-        | None -> false
-        | Some d -> (
-          match resp with
-          | Iw_proto.R_expired _ -> true
-          | _ -> Iw_metrics.now_us () > d)
-      in
-      Iw_slowlog.observe t.t_slowlog ~variant ~segment:(request_segment req)
-        ~session:(Option.value (Iw_proto.request_session req) ~default:0)
-        ~seq ~trace_id ~span_id
-        ~wait_us:(phase_us Iw_phase.Lock_wait)
-        ~service_us:(phase_us Iw_phase.Service)
-        ~wal_us:(phase_us Iw_phase.Wal) ~deadline_missed dt);
-    if flight_on then
+    Iw_trace.span_begin ~args "server.handle"
+  end;
+  let t0 = Iw_metrics.now_us () in
+  let resp =
+    try handle_routed ?deadline_us ?timer t req
+    with e ->
+      (* handle_routed converts Reject/Malformed to R_error, so anything
+         escaping it is the unexplained kind of failure the flight
+         recorder exists for. *)
       Iw_flight.record t.t_flight ~seq ~segment:(request_segment req)
-        ~version:(response_version resp) ~latency_us:dt variant;
-    (* The phase breakdown lands on the timeline as an instant next to the
-       dispatch span (span_end carries no args). *)
-    if trace_on && timer <> None then
-      Iw_trace.instant
-        ~args:
-          (("variant", variant)
-          :: List.map
-               (fun p ->
-                 (Iw_phase.name p ^ "_us", Printf.sprintf "%.0f" (phase_us p)))
-               Iw_phase.phases)
-        "server.phases";
-    if trace_on then Iw_trace.span_end "server.handle";
-    (if owns_timer then
-       match timer with
-       | Some tm -> finish_request t ~variant tm
-       | None -> ());
-    resp
-  end
+        ~latency_us:(Iw_metrics.now_us () -. t0)
+        (variant ^ "!" ^ Printexc.to_string e);
+      Iw_flight.dump ~reason:("uncaught in " ^ variant) t.t_flight;
+      if trace_on then Iw_trace.span_end "server.handle";
+      raise e
+  in
+  let dt = Iw_metrics.now_us () -. t0 in
+  if metrics_on then
+    Iw_metrics.observe
+      (Iw_metrics.histogram_us t.t_metrics
+         ~help:"Request dispatch latency by request variant"
+         (Iw_metrics.with_label "iw_server_request_us" "variant" variant))
+      dt;
+  (* The slow log takes its own short mutex, never the server lock — the
+     dispatch is already over.  Trace ids come straight from the envelope,
+     so a slow entry can be found in the matching Perfetto trace. *)
+  let phase_us p =
+    match timer with Some tm -> Iw_phase.elapsed_us tm p | None -> 0.
+  in
+  (match req with
+  | Iw_proto.Slow_log _ -> () (* reading the log must not pollute it *)
+  | _ ->
+    let trace_id, span_id =
+      match ctx with
+      | Some c -> (c.Iw_proto.tc_trace_id, c.Iw_proto.tc_span_id)
+      | None -> (0, 0)
+    in
+    (* A request that carried a budget and was shed, or that completed
+       only after its budget ran out, is flagged so [iw-admin slowlog]
+       can tell "slow" from "slow and already useless". *)
+    let deadline_missed =
+      match deadline_us with
+      | None -> false
+      | Some d -> (
+        match resp with
+        | Iw_proto.R_expired _ -> true
+        | _ -> Iw_metrics.now_us () > d)
+    in
+    Iw_slowlog.observe t.t_slowlog ~variant ~segment:(request_segment req)
+      ~session:(Option.value (Iw_proto.request_session req) ~default:0)
+      ~seq ~trace_id ~span_id
+      ~wait_us:(phase_us Iw_phase.Lock_wait)
+      ~service_us:(phase_us Iw_phase.Service)
+      ~wal_us:(phase_us Iw_phase.Wal) ~deadline_missed dt);
+  Iw_flight.record t.t_flight ~seq ~segment:(request_segment req)
+    ~version:(response_version resp) ~latency_us:dt variant;
+  (* The phase breakdown lands on the timeline as an instant next to the
+     dispatch span (span_end carries no args). *)
+  if trace_on && timer <> None then
+    Iw_trace.instant
+      ~args:
+        (("variant", variant)
+        :: List.map
+             (fun p ->
+               (Iw_phase.name p ^ "_us", Printf.sprintf "%.0f" (phase_us p)))
+             Iw_phase.phases)
+      "server.phases";
+  if trace_on then Iw_trace.span_end "server.handle";
+  (if owns_timer then
+     match timer with
+     | Some tm -> finish_request t ~variant tm
+     | None -> ());
+  resp
 
 let direct_link t =
   {
@@ -2423,10 +2371,8 @@ let serve_conn t conn =
          | _ -> ());
          finish_request t ~variant:(Iw_proto.request_variant req) timer
        | Error msg ->
-         if Iw_flight.enabled t.t_flight then begin
-           Iw_flight.record t.t_flight ?seq "decode_error";
-           Iw_flight.dump ~reason:("request decode failure: " ^ msg) t.t_flight
-         end;
+         Iw_flight.record t.t_flight ?seq "decode_error";
+         Iw_flight.dump ~reason:("request decode failure: " ^ msg) t.t_flight;
          conn.Iw_transport.send
            (Iw_proto.response_frame ?seq (Iw_proto.R_error ("malformed: " ^ msg))));
        loop ()
@@ -2438,8 +2384,7 @@ let serve_conn t conn =
     (* A failed frame checksum: drop the connection (the client re-dials)
        and leave a breadcrumb, but no post-mortem dump — under fault
        injection this is routine, not a crash. *)
-    if Iw_flight.enabled t.t_flight then
-      Iw_flight.record t.t_flight ("frame_corrupt:" ^ msg)
+    Iw_flight.record t.t_flight ("frame_corrupt:" ^ msg)
   | e ->
     (* A connection thread dying of anything else is the crash the ring
        buffer was recording for. *)

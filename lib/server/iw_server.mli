@@ -33,6 +33,7 @@ val create :
   ?lease_secs:float ->
   ?fsync:Iw_store.fsync ->
   ?queue_max:int ->
+  ?ring:Iw_ring.t ->
   unit ->
   t
 (** A fresh server.  When [checkpoint_dir] is given the directory becomes the
@@ -83,7 +84,11 @@ val create :
     the same reason.  State and pressure are exported as
     [iw_server_overload_state], [iw_server_queue_hwm],
     [iw_server_shed_total{reason}], [iw_server_expired_total{phase}], and
-    [iw_server_snapshot_reads_total]. *)
+    [iw_server_snapshot_reads_total].
+
+    [ring] is a test seam: it replaces the metric history ring (default
+    {!Iw_ring.create}[ ()], 64 windows of 5 s), so a test can roll windows
+    in milliseconds. *)
 
 val store : t -> Iw_store.t option
 (** Shard 0's durability store backing [checkpoint_dir], when one is
@@ -92,6 +97,9 @@ val store : t -> Iw_store.t option
 
 val domains : t -> int
 (** The shard count this server was created with. *)
+
+val queue_max : t -> int option
+(** The per-shard mailbox admission cap; [None] when unbounded. *)
 
 val shutdown : t -> unit
 (** Stop the shard worker domains: each drains its mailbox (running and
@@ -199,17 +207,16 @@ val metrics : t -> Iw_metrics.t
 
 val flight : t -> Iw_flight.t
 (** This server's flight recorder: one entry per handled request (seq,
-    variant, segment, version, latency).  On by default even when metrics
-    are off — [IW_FLIGHT=0] disables — and dumped on decode failures,
-    uncaught handler exceptions, [SIGUSR1] (installed by [iw-server]), or
-    the [Flight_recorder] request. *)
+    variant, segment, version, latency).  Always on, even when metrics are
+    off, and dumped on decode failures, uncaught handler exceptions,
+    [SIGUSR1] (installed by [iw-server]), or the [Flight_recorder]
+    request. *)
 
 val slowlog : t -> Iw_slowlog.t
 (** This server's sampled slow-request log: the K slowest requests per
     window, with segment, session, and the trace/span ids from the request
-    envelope when one was present.  Armed by default
-    ([IW_SLOWLOG_K]/[IW_SLOWLOG_WINDOW_S]/[IW_SLOWLOG_MIN_US] tune it,
-    [IW_SLOWLOG_K=0] disables); served remotely by the
+    envelope when one was present.  Always on, with the {!Iw_slowlog.create}
+    defaults (32 entries per 10 s window); served remotely by the
     {!Iw_proto.Slow_log} request and rendered by [iw-admin slowlog]. *)
 
 val phase_stats : t -> Iw_phase.stats
@@ -225,9 +232,8 @@ val phase_stats : t -> Iw_phase.stats
 
 val ring : t -> Iw_ring.t
 (** This server's metric history ring: one point of derived scalar series
-    (rates, gauge levels, windowed p50/p99) per [IW_RING_WINDOW_S] window,
-    last [IW_RING_N] windows retained, rolled lazily from the request
-    path.  Served remotely by {!Iw_proto.Metrics_history}; powers the
+    (rates, gauge levels, windowed p50/p99) per 5 s window, last 64
+    windows retained, rolled lazily from the request path.  Served remotely by {!Iw_proto.Metrics_history}; powers the
     sparkline columns of [iw-admin top] and [iw-admin contention]. *)
 
 val set_prediction : t -> bool -> unit

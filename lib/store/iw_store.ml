@@ -543,8 +543,8 @@ let truncate t ~segment =
 
 let flight_note t ?version ~segment event =
   match t.t_flight with
-  | Some f when Iw_flight.enabled f -> Iw_flight.record f ~segment ?version event
-  | _ -> ()
+  | Some f -> Iw_flight.record f ~segment ?version event
+  | None -> ()
 
 (* Read a log file for recovery: parse its good prefix, physically truncate
    anything after it (a torn tail is the normal shape of a crash mid-append),

@@ -96,11 +96,6 @@ let test_trace_append_merges () =
   Alcotest.(check bool) "first run survived the second" true (List.mem "first.run" names);
   Alcotest.(check bool) "second run appended" true (List.mem "second.run" names)
 
-let test_unique_path () =
-  let suffixed = Iw_trace.unique_path "trace.json" in
-  Alcotest.(check bool) "pid spliced before extension" true
-    (contains ~needle:(Printf.sprintf ".pid%d.json" (Unix.getpid ())) suffixed)
-
 (* Segment_stats over the wire: Temporal-coherence reads on a stale copy and
    re-acquires of a current one must show up as nonzero staleness and
    wasted-acquire series for that segment, rendered per segment by
@@ -178,6 +173,5 @@ let suite =
     [
       Alcotest.test_case "client/server trace stitching" `Quick test_trace_stitching;
       Alcotest.test_case "append mode merges runs" `Quick test_trace_append_merges;
-      Alcotest.test_case "unique path suffix" `Quick test_unique_path;
       Alcotest.test_case "segstats end to end" `Quick test_segstats_e2e;
     ] )

@@ -1,7 +1,7 @@
-(* Flight recorder: ring semantics, the one-branch disabled path, the live
-   Flight_recorder request, and the acceptance scenario — a server-side
-   decode failure dumps a JSON document holding the recent events including
-   the failing request's seq. *)
+(* Flight recorder: ring semantics, the live Flight_recorder request, and
+   the acceptance scenario — a server-side decode failure dumps a JSON
+   document holding the recent events including the failing request's
+   seq. *)
 
 module J = Iw_obs_json
 
@@ -21,14 +21,6 @@ let test_ring_wraparound () =
   Alcotest.(check string) "variant retained" "read_lock" v.Iw_flight.v_variant;
   Alcotest.(check string) "segment retained" "s" v.Iw_flight.v_segment;
   Alcotest.(check int) "version retained" 3 v.Iw_flight.v_version
-
-let test_disabled_noop () =
-  let f = Iw_flight.create ~capacity:4 ~enabled:false () in
-  Iw_flight.record f ~seq:1 "hello";
-  Alcotest.(check int) "nothing recorded while disabled" 0 (List.length (Iw_flight.events f));
-  Iw_flight.set_enabled f true;
-  Iw_flight.record f ~seq:2 "hello";
-  Alcotest.(check int) "recording after enable" 1 (List.length (Iw_flight.events f))
 
 let test_render_json_parses () =
   let f = Iw_flight.create ~capacity:4 () in
@@ -162,7 +154,6 @@ let suite =
   ( "flight",
     [
       Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
-      Alcotest.test_case "disabled no-op" `Quick test_disabled_noop;
       Alcotest.test_case "dump json shape" `Quick test_render_json_parses;
       Alcotest.test_case "decode failure dumps with seq" `Quick test_decode_failure_dumps;
       Alcotest.test_case "live flight request" `Quick test_flight_request_live;

@@ -282,16 +282,40 @@ let test_framed_byte_accounting () =
   Alcotest.(check int) "reset zeroes received" 0 st.Iw_client.bytes_received;
   Iw_client.disconnect c
 
-(* Mutates the process environment, so this must run last in the suite:
-   registries created later would see the override. *)
+(* Setting a variable to "" restores the default, so every case leaves the
+   environment as a later suite expects it, whatever the order. *)
+let with_env name value f =
+  Unix.putenv name value;
+  Fun.protect ~finally:(fun () -> Unix.putenv name "") f
+
+let rejects name f =
+  match f () with
+  | _ -> Alcotest.failf "%s: a bad value was accepted" name
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) (msg ^ " names " ^ name) true
+      (String.starts_with ~prefix:(name ^ ":") msg)
+
 let test_env_policy () =
-  Unix.putenv "IW_METRICS" "1";
-  Alcotest.(check bool) "IW_METRICS=1 on" true (env_enabled ~default:false);
-  Unix.putenv "IW_METRICS" "0";
-  Alcotest.(check bool) "IW_METRICS=0 off" false (env_enabled ~default:true);
-  Unix.putenv "IW_METRICS" "";
-  Alcotest.(check bool) "IW_METRICS= off" false (env_enabled ~default:true);
-  Unix.putenv "IW_METRICS" "1"
+  with_env "IW_METRICS" "1" (fun () ->
+      Alcotest.(check bool) "IW_METRICS=1 on" true (env_enabled ~default:false));
+  with_env "IW_METRICS" "0" (fun () ->
+      Alcotest.(check bool) "IW_METRICS=0 off" false (env_enabled ~default:true));
+  with_env "IW_METRICS" "" (fun () ->
+      Alcotest.(check bool) "IW_METRICS= default on" true (env_enabled ~default:true);
+      Alcotest.(check bool) "IW_METRICS= default off" false (env_enabled ~default:false))
+
+(* The one strict rule: a value that is neither the default nor a known
+   setting is an error naming the variable, never a silent guess. *)
+let test_env_rejects () =
+  with_env "IW_METRICS" "false" (fun () ->
+      rejects "IW_METRICS" (fun () -> env_enabled ~default:true));
+  with_env "IW_SANITIZE" "yes" (fun () ->
+      rejects "IW_SANITIZE" (fun () -> env_flag "IW_SANITIZE" ~default:false));
+  with_env "IW_TRACE_MODE" "unique" (fun () ->
+      rejects "IW_TRACE_MODE" Iw_trace.env_mode);
+  with_env "IW_TRACE_MODE" "append" (fun () ->
+      Alcotest.(check bool) "IW_TRACE_MODE=append" true
+        (Iw_trace.env_mode () = Iw_trace.Append))
 
 let suite =
   ( "obs",
@@ -309,4 +333,5 @@ let suite =
       Alcotest.test_case "server stats live" `Quick test_server_stats_live;
       Alcotest.test_case "framed byte accounting" `Quick test_framed_byte_accounting;
       Alcotest.test_case "env policy" `Quick test_env_policy;
+      Alcotest.test_case "env rejects bad values" `Quick test_env_rejects;
     ] )

@@ -291,49 +291,43 @@ let test_e2e_tcp () =
 (* The server's history ring, fetched the way iw-admin does — through the
    Metrics_history request (whose handler also rolls the window). *)
 let test_ring_e2e () =
-  Unix.putenv "IW_RING_WINDOW_S" "0.05";
-  Unix.putenv "IW_RING_N" "8";
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "IW_RING_WINDOW_S" "";
-      Unix.putenv "IW_RING_N" "")
-    (fun () ->
-      let server = I.start_server ~lease_secs:30.0 () in
-      Alcotest.(check int) "ring capacity from env" 8
-        (Iw_ring.capacity (I.Server.ring server));
-      let client = I.loopback_client server in
-      drive client;
-      Thread.delay 0.06;
-      drive client;
-      Thread.delay 0.06;
-      let points =
-        match I.Server.handle server (Iw_proto.Metrics_history { session = 0; limit = 0 }) with
-        | Iw_proto.R_metrics_history points -> points
-        | r -> Alcotest.failf "unexpected response %s" (match r with
-            | Iw_proto.R_error e -> e
-            | _ -> "(not an error)")
-      in
-      I.Client.disconnect client;
-      Alcotest.(check bool) "ring has points" true (List.length points >= 1);
-      let series_present name =
-        List.exists (fun p -> List.mem_assoc name p.Iw_ring.p_values) points
-      in
-      Alcotest.(check bool) "request rate series" true
-        (series_present "iw_server_requests_total:rate");
-      Alcotest.(check bool) "lock-wait p99 series" true
-        (series_present
-           (Iw_metrics.with_label "iw_server_phase_us" "phase" "lock_wait" ^ ":p99"));
-      (* limit = newest N *)
-      match
-        I.Server.handle server (Iw_proto.Metrics_history { session = 0; limit = 1 })
-      with
-      | Iw_proto.R_metrics_history [ p ] ->
-        let all_last = List.nth points (List.length points - 1) in
-        Alcotest.(check bool) "limit keeps newest" true
-          (p.Iw_ring.p_t >= all_last.Iw_ring.p_t)
-      | Iw_proto.R_metrics_history l ->
-        Alcotest.failf "limit 1 returned %d points" (List.length l)
-      | _ -> Alcotest.fail "unexpected response")
+  let ring = Iw_ring.create ~capacity:8 ~window_s:0.05 () in
+  let server = I.Server.create ~lease_secs:30.0 ~ring () in
+  Alcotest.(check bool) "server rolls the ring it was given" true
+    (I.Server.ring server == ring);
+  let client = I.loopback_client server in
+  drive client;
+  Thread.delay 0.06;
+  drive client;
+  Thread.delay 0.06;
+  let points =
+    match I.Server.handle server (Iw_proto.Metrics_history { session = 0; limit = 0 }) with
+    | Iw_proto.R_metrics_history points -> points
+    | r -> Alcotest.failf "unexpected response %s" (match r with
+        | Iw_proto.R_error e -> e
+        | _ -> "(not an error)")
+  in
+  I.Client.disconnect client;
+  Alcotest.(check bool) "ring has points" true (List.length points >= 1);
+  let series_present name =
+    List.exists (fun p -> List.mem_assoc name p.Iw_ring.p_values) points
+  in
+  Alcotest.(check bool) "request rate series" true
+    (series_present "iw_server_requests_total:rate");
+  Alcotest.(check bool) "lock-wait p99 series" true
+    (series_present
+       (Iw_metrics.with_label "iw_server_phase_us" "phase" "lock_wait" ^ ":p99"));
+  (* limit = newest N *)
+  match
+    I.Server.handle server (Iw_proto.Metrics_history { session = 0; limit = 1 })
+  with
+  | Iw_proto.R_metrics_history [ p ] ->
+    let all_last = List.nth points (List.length points - 1) in
+    Alcotest.(check bool) "limit keeps newest" true
+      (p.Iw_ring.p_t >= all_last.Iw_ring.p_t)
+  | Iw_proto.R_metrics_history l ->
+    Alcotest.failf "limit 1 returned %d points" (List.length l)
+  | _ -> Alcotest.fail "unexpected response"
 
 let suite =
   ( "phase",

@@ -168,8 +168,81 @@ let test_admin_negotiates_crc () =
       Alcotest.(check bool) "enable_crc served to iw-admin" true
         (match negotiations with Some n -> n >= 1. | None -> false))
 
+(* iw-server spawned with [env] added to this process's environment, its
+   stdout and stderr captured to files: (pid, stdout path, stderr path). *)
+let spawn_server_env env args =
+  let out = Filename.temp_file "iwserver" ".out" in
+  let err = Filename.temp_file "iwserver" ".err" in
+  let fd_out = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let fd_err = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid =
+    Unix.create_process_env server_exe
+      (Array.of_list (server_exe :: args))
+      (Array.append env (Unix.environment ()))
+      Unix.stdin fd_out fd_err
+  in
+  Unix.close fd_out;
+  Unix.close fd_err;
+  (pid, out, err)
+
+(* The startup line names every knob's effective value, including one that
+   came from the environment rather than a flag. *)
+let test_server_config_line () =
+  let port = Test_durability.free_port () in
+  let pid, out, err =
+    spawn_server_env [| "IW_DOMAINS=2" |] [ "--port"; string_of_int port ]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid);
+      Sys.remove out;
+      Sys.remove err)
+    (fun () ->
+      I.Client.disconnect (Test_durability.wait_ready port);
+      match
+        String.split_on_char '\n' (read_all out)
+        |> List.find_opt (String.starts_with ~prefix:"config: ")
+      with
+      | None -> Alcotest.failf "no config line in %S" (read_all out)
+      | Some line ->
+        List.iter
+          (fun field ->
+            Alcotest.(check bool) (line ^ " has " ^ field) true (contains line field))
+          [ "domains=2"; "queue_max=1024"; "fsync="; "metrics=on"; "trace=";
+            "flight_dump=stderr"; "fault=none" ])
+
+(* A switch set to neither 0 nor 1 stops the server before it listens,
+   naming the variable. *)
+let test_server_rejects_bad_switch () =
+  let pid, out, err =
+    spawn_server_env [| "IW_METRICS=false" |]
+      [ "--port"; string_of_int (Test_durability.free_port ()) ]
+  in
+  (* Reap within 5 s; a server that accepted the value would listen
+     forever. *)
+  let rec reap attempts =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when attempts > 0 ->
+      Unix.sleepf 0.05;
+      reap (attempts - 1)
+    | 0, _ ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      -1
+    | _, Unix.WEXITED n -> n
+    | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) -> 128 + n
+  in
+  let code = reap 100 in
+  let stderr = read_all err in
+  Sys.remove out;
+  Sys.remove err;
+  Alcotest.(check int) "exit 1" 1 code;
+  Alcotest.(check bool) ("names IW_METRICS: " ^ stderr) true
+    (contains stderr "IW_METRICS")
+
 (* Iw_slowlog unit behaviour: top-K selection, eviction of the fastest,
-   limit handling, and the min_us pre-filter. *)
+   limit handling, and K = 0. *)
 let observe_lat t ?(variant = "read_lock") lat =
   SL.observe t ~variant ~segment:"s" ~session:1 ~seq:0 ~trace_id:0 ~span_id:0 lat
 
@@ -182,12 +255,6 @@ let test_slowlog_topk () =
   let lats2 = List.map (fun e -> e.SL.e_latency_us) (SL.snapshot ~limit:2 t) in
   Alcotest.(check (list (float 1e-9))) "limit 2" [ 70.; 60. ] lats2
 
-let test_slowlog_min_us () =
-  let t = SL.create ~k:8 ~min_us:25. () in
-  List.iter (observe_lat t) [ 10.; 50.; 24.9; 25.1 ];
-  let lats = List.map (fun e -> e.SL.e_latency_us) (SL.snapshot t) in
-  Alcotest.(check (list (float 1e-9))) "pre-filtered" [ 50.; 25.1 ] lats
-
 let test_slowlog_disabled () =
   let t = SL.create ~k:0 () in
   observe_lat t 99.;
@@ -197,8 +264,11 @@ let suite =
   ( "slowlog",
     [
       Alcotest.test_case "top-K and ordering" `Quick test_slowlog_topk;
-      Alcotest.test_case "min_us pre-filter" `Quick test_slowlog_min_us;
       Alcotest.test_case "k=0 disabled" `Quick test_slowlog_disabled;
       Alcotest.test_case "live over tcp with iw-admin top" `Slow test_slowlog_and_top_live;
       Alcotest.test_case "iw-admin negotiates frame CRCs" `Quick test_admin_negotiates_crc;
+      Alcotest.test_case "iw-server prints its effective config" `Quick
+        test_server_config_line;
+      Alcotest.test_case "iw-server rejects a bad switch value" `Quick
+        test_server_rejects_bad_switch;
     ] )
