@@ -35,10 +35,12 @@ let run_fault_plan s =
 
 (* --store: offline validation of a server's durability directory — every
    checkpoint's magic and CRC trailer, every write-ahead-log record's CRC,
-   and version continuity from each checkpoint into its segment's log.  A
-   torn log tail is reported but does not fail the run (it is the normal
-   shape of a crash and recovery truncates it); corrupt records, bad
-   checkpoints, version gaps, and checkpoint→log discontinuities do. *)
+   and, per segment inside each shard log, version continuity and
+   continuity from the segment's checkpoint.  A torn log tail is reported
+   but does not fail the run (it is the normal shape of a crash and
+   recovery truncates it); corrupt records, bad checkpoints, version gaps,
+   checkpoint→log discontinuities, and files of the older per-segment
+   layout (which recovery refuses) do. *)
 let run_store dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then begin
     Printf.eprintf "iw-check: %s: not a directory\n" dir;
@@ -52,19 +54,24 @@ let run_store dir =
       incr errors;
       Printf.ksprintf (fun m -> Printf.eprintf "iw-check: %s\n" m) fmt
     in
-    (* Checkpoint versions by segment name, for continuity against the log. *)
+    (* Checkpoint versions by segment name, for continuity against the log;
+       checkpoints are read first so a log can be checked against them
+       whatever the names sort as. *)
     let ckpt_versions = Hashtbl.create 8 in
     Array.iter
       (fun f ->
-        let path = Filename.concat dir f in
         if Filename.check_suffix f Iw_store.checkpoint_suffix then begin
-          match Iw_store.verify_checkpoint path with
+          match Iw_store.verify_checkpoint (Filename.concat dir f) with
           | Ok (name, version) ->
             Hashtbl.replace ckpt_versions name version;
             Printf.printf "%s: checkpoint OK (%s at version %d)\n" f name version
           | Error msg -> err "%s: %s" f msg
-        end
-        else if Filename.check_suffix f Iw_store.log_suffix then begin
+        end)
+      files;
+    Array.iter
+      (fun f ->
+        let path = Filename.concat dir f in
+        if Filename.check_suffix f Iw_store.log_suffix then begin
           match Iw_store.scan_log path with
           | Error msg -> err "%s: %s" f msg
           | Ok r ->
@@ -76,59 +83,44 @@ let run_store dir =
                  truncate it\n"
                 f reason
             | Iw_store.Tail_corrupt reason -> err "%s: %s" f reason);
-            (match r.Iw_store.lr_gap with
-            | Some (expected, got) ->
-              err "%s: version gap in log: expected %d, found %d" f expected got
-            | None -> ());
-            (match r.Iw_store.lr_segment with
-            | None ->
-              if r.Iw_store.lr_records > 0 then err "%s: no header record" f
-            | Some name ->
-              (* Continuity: the log's first commit must continue its
-                 segment's checkpoint (or start from scratch without one).
-                 First commits at or below the checkpoint version are stale
-                 records the checkpoint already covers — replay skips them. *)
-              let ckpt =
-                match Hashtbl.find_opt ckpt_versions name with
-                | Some v -> v
-                | None -> 0
-              in
-              (match r.Iw_store.lr_first_commit with
-              | Some first when first > ckpt + 1 ->
-                err
-                  "%s: log for %s starts at version %d but its checkpoint \
-                   ends at %d (missing %d version(s))"
-                  f name first ckpt
-                  (first - ckpt - 1)
-              | _ -> ());
-              Printf.printf
-                "%s: log OK (%s, %d record(s), %d commit(s)%s)\n" f name
-                r.Iw_store.lr_records r.Iw_store.lr_commits
-                (match (r.Iw_store.lr_first_commit, r.Iw_store.lr_last_commit) with
-                | Some a, Some b -> Printf.sprintf ", versions %d..%d" a b
-                | _ -> ""))
+            if r.Iw_store.lr_name = None && r.Iw_store.lr_records > 0 then
+              err "%s: no header record" f;
+            List.iter
+              (fun (sr : Iw_store.segment_report) ->
+                let name = sr.sr_segment in
+                (match sr.sr_gap with
+                | Some (expected, got) ->
+                  err "%s: version gap in %s's records: expected %d, found %d" f
+                    name expected got
+                | None -> ());
+                (* Continuity: the segment's first commit must continue its
+                   checkpoint (or start from scratch without one).  First
+                   commits at or below the checkpoint version are stale
+                   records the checkpoint already covers — replay skips
+                   them. *)
+                let ckpt = Option.value (Hashtbl.find_opt ckpt_versions name) ~default:0 in
+                match sr.sr_first_commit with
+                | Some first when first > ckpt + 1 ->
+                  err
+                    "%s: %s's records start at version %d but its checkpoint \
+                     ends at %d (missing %d version(s))"
+                    f name first ckpt
+                    (first - ckpt - 1)
+                | _ -> ())
+              r.Iw_store.lr_segments;
+            Printf.printf "%s: log OK (%d record(s), %d segment(s))\n" f
+              r.Iw_store.lr_records
+              (List.length r.Iw_store.lr_segments);
+            List.iter
+              (fun (sr : Iw_store.segment_report) ->
+                Printf.printf "  %s: %d commit(s)%s\n" sr.sr_segment sr.sr_commits
+                  (match (sr.sr_first_commit, sr.sr_last_commit) with
+                  | Some a, Some b -> Printf.sprintf ", versions %d..%d" a b
+                  | _ -> ""))
+              r.Iw_store.lr_segments
         end
-        else if Filename.check_suffix f Iw_store.journal_suffix then begin
-          (* A shard journal: group commit's single-fsync file.  A torn tail
-             is an interrupted [end_batch] whose releases were never
-             acknowledged — normal crash shape, like a torn log tail. *)
-          match Iw_store.scan_journal path with
-          | Error msg -> err "%s: %s" f msg
-          | Ok r ->
-            (match r.Iw_store.jr_tail with
-            | Iw_store.Tail_clean -> ()
-            | Iw_store.Tail_torn reason ->
-              Printf.printf
-                "%s: torn tail (%s) — an interrupted group commit; recovery \
-                 will use the good prefix\n"
-                f reason
-            | Iw_store.Tail_corrupt reason -> err "%s: %s" f reason);
-            Printf.printf
-              "%s: journal OK (%d redirect record(s), %d commit(s), %d \
-               segment(s))\n"
-              f r.Iw_store.jr_records r.Iw_store.jr_commits
-              (List.length r.Iw_store.jr_segments)
-        end
+        else if Filename.check_suffix f ".jrnl" then
+          err "%s: a shard journal from an older store layout; recovery refuses it" f
         else if Filename.check_suffix f ".corrupt" then
           Printf.printf "%s: quarantined file (left by a previous recovery)\n" f)
       files;
@@ -330,7 +322,7 @@ let fault_plan =
         ~doc:
           "Validate a fault-injection plan (the IW_FAULT / iw-server \
            --fault-plan syntax, e.g. \
-           $(b,seed:7,drop:0.01,delay:5ms,close\\@req=17)) and print its \
+           $(b,seed:7,drop:0.01,delay:5ms,close@req=17)) and print its \
            normalized form, instead of linting IDL files.")
 
 let store_dir =
@@ -341,7 +333,8 @@ let store_dir =
         ~doc:
           "Validate a server durability directory (a --checkpoint-dir): \
            checkpoint magic and CRC trailers, write-ahead-log record CRCs, \
-           and version continuity from each checkpoint into its log.  Run \
+           and, per segment, version continuity from its checkpoint \
+           through the shard logs.  Run \
            it against a stopped (or crashed) server's directory; a torn log \
            tail is reported but passes, since recovery truncates it.")
 

@@ -10,7 +10,13 @@ let setup_logging verbose =
 let run port checkpoint_dir checkpoint_secs fsync trace lease_secs fault_plan
     domains verbose =
   setup_logging verbose;
-  Option.iter (fun path -> Iw_trace.start ~mode:(Iw_trace.env_mode ()) ~path ()) trace;
+  let fail msg =
+    Printf.eprintf "iw-server: %s\n" msg;
+    exit 1
+  in
+  (match Option.iter (fun path -> Iw_trace.start ~mode:(Iw_trace.env_mode ()) ~path ()) trace with
+  | () -> ()
+  | exception Invalid_argument msg -> fail msg);
   (* --fault-plan beats IW_FAULT; either way a bad plan is a startup error,
      not something to discover mid-traffic. *)
   let fault =
@@ -18,15 +24,11 @@ let run port checkpoint_dir checkpoint_secs fsync trace lease_secs fault_plan
     | Some s -> (
       match Iw_fault.parse s with
       | Ok p -> Some p
-      | Error msg ->
-        Printf.eprintf "iw-server: invalid --fault-plan: %s\n" msg;
-        exit 1)
+      | Error msg -> fail ("invalid --fault-plan: " ^ msg))
     | None -> (
       match Iw_fault.env_plan () with
       | p -> p
-      | exception Invalid_argument msg ->
-        Printf.eprintf "iw-server: %s\n" msg;
-        exit 1)
+      | exception Invalid_argument msg -> fail msg)
   in
   (* --fsync beats IW_FSYNC (which Iw_server.create consults when no policy
      is passed); a bad policy is a startup error. *)
@@ -36,18 +38,15 @@ let run port checkpoint_dir checkpoint_secs fsync trace lease_secs fault_plan
     | Some s -> (
       match Iw_store.fsync_of_string s with
       | Ok f -> Some f
-      | Error msg ->
-        Printf.eprintf "iw-server: invalid --fsync: %s\n" msg;
-        exit 1)
+      | Error msg -> fail ("invalid --fsync: " ^ msg))
   in
-  (* A bad IW_DOMAINS, IW_SHARD_QUEUE_MAX, IW_FSYNC or IW_METRICS value is a
-     startup error that names the variable. *)
+  (* A bad IW_DOMAINS, IW_SHARD_QUEUE_MAX, IW_FSYNC, IW_METRICS, IW_TRACE_MODE
+     value is a startup error that names the variable; a store directory in
+     the older per-segment layout is one that names the file. *)
   let server =
     match Iw_server.create ?checkpoint_dir ?domains ?lease_secs ?fsync () with
     | server -> server
-    | exception Invalid_argument msg ->
-      Printf.eprintf "iw-server: %s\n" msg;
-      exit 1
+    | exception (Invalid_argument msg | Failure msg) -> fail msg
   in
   (* The effective value of every knob, whichever of flag, environment or
      default it came from, in one line. *)
@@ -180,7 +179,7 @@ let fault_plan =
     & info [ "fault-plan" ] ~docv:"PLAN"
         ~doc:
           "Inject deterministic faults into every client connection, e.g. \
-           $(b,seed:7,drop:0.01,delay:5ms,close\\@req=17).  For resilience \
+           $(b,seed:7,drop:0.01,delay:5ms,close@req=17).  For resilience \
            testing only.  Overrides the IW_FAULT environment variable.")
 
 let trace =
@@ -200,7 +199,7 @@ let domains =
         ~doc:
           "Shard the server across $(docv) OCaml domains: segments are \
            partitioned by a deterministic hash of their name, each shard \
-           owns its slice of the write-ahead log, and concurrent releases \
+           owns its own write-ahead log, and concurrent releases \
            on one shard share fsyncs via group commit.  Default 1 (classic single-lock dispatch).  Overrides the \
            IW_DOMAINS environment variable.")
 

@@ -491,6 +491,7 @@ let set_reconnect ?(retry = default_retry) c ~dial =
   c.c_reconnect <- Some { rc_dial = dial; rc_retry = retry }
 
 let connect ?(arch = Iw_arch.x86_32) ?(busy_wait = None) link =
+  Iw_trace.attach_env ();
   let session =
     match link.Iw_proto.call (Iw_proto.Hello { arch = arch.Iw_arch.name }) with
     | Iw_proto.R_hello { session } -> session

@@ -56,11 +56,10 @@ let start_server ?checkpoint_dir ?domains ?lease_secs ?fsync () =
    swept for lock-discipline violations without code changes.  Reads outside
    critical sections are tolerated (harnesses routinely verify results after
    releasing their locks); everything else reports.  Findings are dumped to
-   stderr at process exit. *)
-let sanitize_env = Iw_metrics.env_flag "IW_SANITIZE" ~default:false
-
+   stderr at process exit.  The variable is read per client, not while
+   modules initialise, so a bad value raises from the constructor. *)
 let maybe_sanitize c =
-  if sanitize_env then begin
+  if Iw_metrics.env_flag "IW_SANITIZE" ~default:false then begin
     let s = Iw_sanitizer.attach ~policy:Iw_sanitizer.Collect ~strict_reads:false c in
     at_exit (fun () ->
         match Iw_sanitizer.reports s with

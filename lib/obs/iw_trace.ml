@@ -165,16 +165,21 @@ let output () =
 (* IW_TRACE=<path> attaches tracing for the whole process with no code
    changes, mirroring IW_SANITIZE; IW_TRACE_MODE=append lets the client and
    server of one run share a path without clobbering.  A mode other than
-   append is a startup error, set or not IW_TRACE, so a typo cannot
-   silently overwrite. *)
+   append is an error, set or not IW_TRACE, so a typo cannot silently
+   overwrite.  Read at the first server or client constructor, not while
+   modules initialise, so a bad value reaches the program's own error
+   path. *)
 let env_mode () =
   match Sys.getenv_opt "IW_TRACE_MODE" with
   | None | Some "" -> Overwrite
   | Some "append" -> Append
   | Some s -> invalid_arg (Printf.sprintf "IW_TRACE_MODE: expected append, got %S" s)
 
-let () =
-  let mode = env_mode () in
-  match Sys.getenv_opt "IW_TRACE" with
-  | None | Some "" -> ()
-  | Some path -> start ~mode ~path ()
+let env_attach =
+  lazy
+    (let mode = env_mode () in
+     match Sys.getenv_opt "IW_TRACE" with
+     | None | Some "" -> ()
+     | Some path -> start ~mode ~path ())
+
+let attach_env () = Lazy.force env_attach

@@ -5,9 +5,10 @@
     Tracing is process-global and off by default; every instrumented site
     guards on {!enabled}, so a disabled tracer costs one branch per event
     (the sanitizer-hook discipline).  Setting [IW_TRACE=<path>] in the
-    environment enables tracing at program start and writes the file at
-    process exit ([IW_TRACE_MODE=append] merges into an existing file);
-    {!start}/{!stop} do the same programmatically.
+    environment enables tracing at the first server or client constructor
+    ({!attach_env}) and writes the file at process exit
+    ([IW_TRACE_MODE=append] merges into an existing file); {!start}/{!stop}
+    do the same programmatically.
 
     Events are buffered in memory and flushed as one JSON document by
     {!stop} (or the [at_exit] hook), so trace files are complete, parseable
@@ -25,6 +26,12 @@ type mode =
 val env_mode : unit -> mode
 (** The [IW_TRACE_MODE] policy: unset or [""] is {!Overwrite}, [append] is
     {!Append}; any other value raises [Invalid_argument "IW_TRACE_MODE: …"]. *)
+
+val attach_env : unit -> unit
+(** Apply [IW_TRACE]/[IW_TRACE_MODE] once per process; later calls repeat
+    the first call's outcome.  [Iw_server.create] and [Iw_client.connect]
+    call it.
+    @raise Invalid_argument as {!env_mode} does. *)
 
 val output : unit -> (string * mode) option
 (** The path and mode the running trace will be written with; [None] when

@@ -87,9 +87,9 @@ type shard = {
          report per-shard ({shard="<id>"}) and aggregate series *)
   sh_store : Iw_store.t option;
       (* this shard's WAL handle over the shared durability directory;
-         present iff checkpoint_dir is.  A segment's log is only ever
-         appended/truncated through its owning shard's handle, under
-         [sh_lock]; group commit batches fsyncs across one worker drain. *)
+         present iff checkpoint_dir is.  The shard's log is only ever
+         appended/truncated through it, under [sh_lock]; group commit
+         batches fsyncs across one worker drain. *)
   sh_scratch : Iw_wire.Buf.t;  (* reused payload buffer; guarded by sh_lock *)
   sh_nsegs : int Atomic.t;
       (* segment count mirror for the collect-time gauge probe: probes run
@@ -877,14 +877,22 @@ let read_checkpoint path =
   done;
   seg
 
-(* Startup recovery: load every checkpoint that validates (quarantining the
-   ones that do not), then replay each segment's write-ahead log past its
-   checkpoint version.  Replay applies exactly the prefix of commit records
-   that continues the checkpoint — stale records (already covered by the
-   checkpoint) are skipped, a version gap or application failure stops the
-   segment's replay at the last consistent state — and rebuilds the
-   release-dedup table from every commit record so a release retried across
-   the restart is still answered with its committed version.
+(* Startup recovery: read every shard log, load every checkpoint that
+   validates (quarantining the ones that do not), then replay each log's
+   records into their segments by name.  Per segment, replay applies exactly
+   the prefix of commit records that continues the checkpoint — stale
+   records (already covered by the checkpoint) are skipped, a version gap or
+   application failure stops the segment's replay at the last consistent
+   state — and rebuilds the release-dedup table from every commit record so
+   a release retried across the restart is still answered with its committed
+   version.
+
+   A recovery that replayed anything ends with a checkpoint of every segment
+   and then removes the logs it read, so a segment's records never straddle
+   the logs of two --domains shapes.  A log in which some segment's replay
+   stopped is quarantined instead: it holds records recovery could not use.
+   A directory in the older per-segment layout (a .jrnl file, or a log with
+   untagged records) is refused with [Failure] before anything is touched.
 
    Runs single-threaded at [create], before any worker domain is spawned or
    connection served.  Each recovered segment is routed to its owning shard
@@ -905,10 +913,10 @@ let recover_store t store =
       seg
   in
   (* Apply one recovered entry to its segment.  Duplicates — records already
-     covered by the checkpoint or an earlier source — are skipped after
-     refreshing the release-dedup table; a version gap or an application
-     failure poisons the segment's replay at the last consistent state.
-     [origin] names the source file for diagnostics. *)
+     covered by the checkpoint — are skipped after refreshing the
+     release-dedup table; a version gap or an application failure stops the
+     segment's replay at the last consistent state.  [origin] names the
+     source file for diagnostics. *)
   let replay_entry ~origin seg entry =
     let name = seg.s_name in
     match entry with
@@ -952,6 +960,21 @@ let recover_store t store =
   Array.sort compare files;
   Array.iter
     (fun f ->
+      if Filename.check_suffix f ".jrnl" then
+        failwith
+          (Printf.sprintf "%s: a shard journal from an older store layout"
+             (Filename.concat dir f)))
+    files;
+  let logs =
+    List.filter_map
+      (fun f ->
+        if Filename.check_suffix f Iw_store.log_suffix then
+          Option.map (fun entries -> (f, entries)) (Iw_store.recover_log store ~file:f)
+        else None)
+      (Array.to_list files)
+  in
+  Array.iter
+    (fun f ->
       if Filename.check_suffix f Iw_store.checkpoint_suffix then begin
         let path = Filename.concat dir f in
         match read_checkpoint path with
@@ -966,73 +989,55 @@ let recover_store t store =
           Iw_flight.record t.t_flight "ckpt_quarantine"
       end)
     files;
-  Array.iter
-    (fun f ->
-      if Filename.check_suffix f Iw_store.log_suffix then begin
-        let t0 = Iw_metrics.now_us () in
-        match Iw_store.recover_log store ~file:f with
-        | None -> ()
-        | Some (name, entries) ->
-          let seg = find_or_create name in
-          let base = seg.s_version in
-          let replayed = ref 0 in
-          let stop = ref false in
-          List.iter
-            (fun entry ->
-              if not !stop then
-                match replay_entry ~origin:"the log" seg entry with
-                | `Applied ->
-                  (match entry with
-                  | Iw_store.Commit _ -> incr replayed
-                  | Iw_store.Desc _ -> ())
-                | `Skipped -> ()
-                | `Stop -> stop := true)
-            entries;
-          Iw_store.note_recovery_us store (Iw_metrics.now_us () -. t0);
-          Iw_flight.record t.t_flight ~segment:name ~version:seg.s_version
-            "store_replay";
-          if !replayed > 0 then
-            Printf.eprintf
-              "iw-server: %s: recovered to version %d (checkpoint %d + %d \
-               replayed commit(s))\n\
-               %!"
-              name seg.s_version base !replayed
-      end)
-    files;
-  (* Shard journals: the group-commit single-fsync path.  A journal record
-     is the durable copy of a log append whose own fsync was still deferred
-     when power was lost — replay whatever continues each segment (after the
-     logs: a journal record is strictly a copy of a log append), write the
-     applied records durably back into their segment logs (healing them),
-     and discard the journals.  After a successful recovery the logs are
-     once again the complete durable history, so journals left by any
-     earlier --domains shape are consumed here and never accumulate. *)
-  Array.iter
-    (fun f ->
-      if Filename.check_suffix f Iw_store.journal_suffix then begin
-        let stopped = Hashtbl.create 4 in
-        let healed = ref 0 in
-        List.iter
-          (fun (name, entry) ->
-            if not (Hashtbl.mem stopped name) then begin
-              let seg = find_or_create name in
-              match replay_entry ~origin:f seg entry with
-              | `Skipped -> ()
-              | `Applied ->
-                Iw_store.append ~durable:true store ~segment:name entry;
-                incr healed
-              | `Stop -> Hashtbl.replace stopped name ()
-            end)
-          (Iw_store.recover_journal store ~file:f);
-        if !healed > 0 then begin
-          Printf.eprintf
-            "iw-server: %s: healed %d journal record(s) into segment log(s)\n%!"
-            f !healed;
-          Iw_flight.record t.t_flight "journal_heal"
-        end;
-        Iw_store.discard_journal store ~file:f
-      end)
-    files
+  (* Per segment: the version replay started from and the commits it
+     applied; and the log in which its replay stopped, if it did. *)
+  let replayed = Hashtbl.create 16 in
+  let stopped = Hashtbl.create 4 in
+  List.iter
+    (fun (f, entries) ->
+      let t0 = Iw_metrics.now_us () in
+      List.iter
+        (fun (name, entry) ->
+          if not (Hashtbl.mem stopped name) then begin
+            let seg = find_or_create name in
+            if not (Hashtbl.mem replayed name) then
+              Hashtbl.replace replayed name (seg.s_version, ref 0);
+            match replay_entry ~origin:f seg entry with
+            | `Applied -> (
+              match entry with
+              | Iw_store.Commit _ -> incr (snd (Hashtbl.find replayed name))
+              | Iw_store.Desc _ -> ())
+            | `Skipped -> ()
+            | `Stop -> Hashtbl.replace stopped name f
+          end)
+        entries;
+      Iw_store.note_recovery_us store (Iw_metrics.now_us () -. t0))
+    logs;
+  Hashtbl.iter
+    (fun name (base, n) ->
+      let seg = find_or_create name in
+      Iw_flight.record t.t_flight ~segment:name ~version:seg.s_version "store_replay";
+      if !n > 0 then
+        Printf.eprintf
+          "iw-server: %s: recovered to version %d (checkpoint %d + %d \
+           replayed commit(s))\n\
+           %!"
+          name seg.s_version base !n)
+    replayed;
+  if List.exists (fun (_, entries) -> entries <> []) logs then
+    Array.iter
+      (fun sh -> Hashtbl.iter (fun _ seg -> write_checkpoint dir seg) sh.sh_segs)
+      t.shards;
+  List.iter
+    (fun (f, _) ->
+      let path = Filename.concat dir f in
+      if Hashtbl.fold (fun _ g stop -> stop || g = f) stopped false then begin
+        let dst = Iw_store.quarantine path in
+        Printf.eprintf "iw-server: %s: replay stopped; quarantined as %s\n%!" path dst
+      end
+      else Sys.remove path)
+    logs;
+  if logs <> [] then Iw_store.fsync_dir dir
 
 (* Positive-integer environment knob; a bad value is a startup error, same
    policy as IW_FSYNC. *)
@@ -1045,9 +1050,10 @@ let env_pos_int name default =
     | _ -> invalid_arg (Printf.sprintf "%s: expected a positive integer, got %S" name s))
 
 (* Group-commit flush, run by the shard's worker domain after each batch
-   that deferred fsyncs: one fsync per dirty log.  Takes the shard lock so
-   it cannot race a concurrent cross-shard checkpoint's truncate, which
-   closes log fds and cancels their deferred fsyncs. *)
+   that deferred fsyncs: one fsync of the shard's log, whatever segments the
+   batch spans.  Takes the shard lock so it cannot race a concurrent
+   cross-shard checkpoint's truncate, which closes the log fd and cancels
+   the deferred fsync. *)
 let flush_batch sh =
   match sh.sh_store with
   | None -> ()
@@ -1080,6 +1086,7 @@ let env_queue_max () =
 
 let create ?checkpoint_dir ?(diff_cache_capacity = 64) ?domains ?lease_secs ?fsync
     ?queue_max ?ring () =
+  Iw_trace.attach_env ();
   let nshards =
     let d = match domains with Some d -> d | None -> env_pos_int "IW_DOMAINS" 1 in
     max 1 (min d 64)
@@ -1157,8 +1164,8 @@ let create ?checkpoint_dir ?(diff_cache_capacity = 64) ?domains ?lease_secs ?fsy
               | Some f -> f
               | None -> Iw_store.env_fsync ~default:(Iw_store.Interval 1.0)
             in
-            (* Each shard journals group commits to its own file — appends
-               race across shards, so they cannot share one. *)
+            (* Each shard logs to its own file — appends race across
+               shards, so they cannot share one. *)
             Some
               (Iw_store.create ~fsync
                  ~journal:(Printf.sprintf "shard-%d" id)
@@ -1324,32 +1331,23 @@ let shutdown t =
       | None -> ())
     t.shards
 
-(* One segment checkpoint is also a log barrier: the checkpoint is durably in
-   place (atomic replace, fsynced) before the log resets, so a crash between
-   the two merely leaves stale records that replay skips.  Runs under the
-   shard's lock; with group commit active, a checkpoint landing mid-batch
-   makes the batch's deferred records for that segment redundant, and the
+(* A shard checkpoint is also a log barrier: every segment's checkpoint is
+   durably in place (atomic replace, fsynced) before the shard's log resets,
+   so a crash between the two merely leaves stale records that replay skips.
+   Runs under the shard's lock; with group commit active, a checkpoint
+   landing mid-batch makes the batch's deferred records redundant, and the
    truncate below cancels their pending fsync. *)
 let checkpoint_shard_locked t sh =
   match t.checkpoint_dir with
   | None -> ()
-  | Some dir ->
-    Hashtbl.iter
-      (fun _ seg ->
-        write_checkpoint dir seg;
-        match sh.sh_store with
-        (* lck-ok: LCK002 the checkpoint is a log barrier: truncating under
-           the shard lock is what makes "checkpoint then truncate" atomic
-           with respect to this shard's commits, and what orders it against
-           the worker's group-commit flush. *)
-        | Some store -> Iw_store.truncate store ~segment:seg.s_name
-        | None -> ())
-      sh.sh_segs;
-    (* Every segment this shard owns is now durably checkpointed and its log
-       truncated, so the shard journal covers nothing: drop it.  Still under
-       the shard lock, so no new batch can journal concurrently. *)
-    (match sh.sh_store with
-    | Some store -> Iw_store.reset_journal store
+  | Some dir -> (
+    Hashtbl.iter (fun _ seg -> write_checkpoint dir seg) sh.sh_segs;
+    match sh.sh_store with
+    (* lck-ok: LCK002 the checkpoint is a log barrier: truncating under the
+       shard lock is what makes "checkpoint then truncate" atomic with
+       respect to this shard's commits, and what orders it against the
+       worker's group-commit flush. *)
+    | Some store -> Iw_store.truncate store
     | None -> ())
 
 (* Cross-shard operations (checkpoint, session resume/teardown) take shard

@@ -38,13 +38,15 @@ val create :
   t
 (** A fresh server.  When [checkpoint_dir] is given the directory becomes the
     server's durability directory: every committed [Write_release] diff is
-    appended to a per-segment write-ahead log ({!Iw_store}) {e before} the
-    release is acknowledged, checkpoints (periodic, or via
+    appended to its shard's write-ahead log ([shard-<id>.wal], {!Iw_store})
+    {e before} the release is acknowledged, checkpoints (periodic, or via
     {!Iw_proto.Checkpoint}) are written crash-consistently and reset the
     log, and startup recovers each segment by loading its newest valid
-    checkpoint and replaying the log past it — so a crashed server restarted
-    on the same directory resumes at the exact last-acknowledged version.
-    Checkpoints or logs that fail validation at startup are quarantined as
+    checkpoint and replaying its records from every log — so a crashed
+    server restarted on the same directory resumes at the exact
+    last-acknowledged version.  A recovery that replayed anything
+    checkpoints every segment and removes the logs it read.  Checkpoints or
+    logs that fail validation at startup are quarantined as
     [<file>.corrupt] with a logged warning, never a startup failure.
 
     [fsync] picks the log's fsync policy (default: the [IW_FSYNC]
@@ -88,7 +90,12 @@ val create :
 
     [ring] is a test seam: it replaces the metric history ring (default
     {!Iw_ring.create}[ ()], 64 windows of 5 s), so a test can roll windows
-    in milliseconds. *)
+    in milliseconds.
+
+    @raise Failure naming the file when [checkpoint_dir] holds the older
+    per-segment store layout (a [.jrnl] shard journal, or a log with
+    untagged records); nothing in the directory is changed.
+    @raise Invalid_argument naming the variable on a bad [IW_*] value. *)
 
 val store : t -> Iw_store.t option
 (** Shard 0's durability store backing [checkpoint_dir], when one is
@@ -154,8 +161,8 @@ val checkpoint : t -> unit
 (** Persist every segment to the checkpoint directory (no-op without one).
     Each segment's checkpoint is written atomically (temp + fsync + rename +
     directory fsync) with a CRC trailer, and doubles as a write-ahead-log
-    barrier: the segment's log is reset once its checkpoint is durable, so
-    recovery cost stays bounded by the checkpoint interval.  Also triggered
+    barrier: a shard's log is reset once all its segments' checkpoints are
+    durable, so recovery cost stays bounded by the checkpoint interval.  Also triggered
     by the {!Iw_proto.Checkpoint} request. *)
 
 val segment_names : t -> string list

@@ -1,7 +1,8 @@
-(* Durability for segment servers: a per-segment append-only write-ahead log
-   of committed wire-format diffs, plus the crash-consistency mechanics
-   (atomic rename, fsync barriers, CRC trailers) that checkpoint files ride
-   on.
+(* Durability for segment servers: one append-only write-ahead log per
+   store handle (one per server shard) of committed wire-format diffs, each
+   record tagged with its segment's name, plus the crash-consistency
+   mechanics (atomic rename, fsync barriers, CRC trailers) that checkpoint
+   files ride on.
 
    The contract is the classic one (cf. journaling filesystems and the
    verified-betrfs lineage): log the update durably BEFORE acknowledging it,
@@ -14,11 +15,12 @@
      <name>.ckpt          whole-segment checkpoint (written by Iw_server),
                           CRC-32 trailer over the whole body
      <name>.ckpt.corrupt  quarantined checkpoint that failed its CRC
-     <name>.wal           the segment's write-ahead log
-     <name>.wal.corrupt   quarantined log whose header was unreadable
-     <journal>.jrnl       the store handle's group-commit journal (one per
-                          server shard): every record a batch deferred, so
-                          one journal fsync makes the whole batch durable
+     shard-<id>.wal       a shard's write-ahead log: the records of every
+                          segment the shard owns, interleaved in append
+                          order, so one fsync makes a whole batch durable
+     shard-<id>.wal.corrupt
+                          quarantined log (unreadable header, or a segment
+                          whose replay stopped)
 
    WAL record format (all integers big-endian, as everywhere on the wire):
 
@@ -26,20 +28,21 @@
 
    and the body is a kind byte plus a payload:
 
-     kind 0  header   u16-prefixed segment name (files are self-describing;
-                      the escaped filename is only a convenience)
-     kind 1  commit   u32 session, u32 version, Iw_wire.Diff (the diff
-                      carries its own from_version; session + from_version
-                      let the server rebuild its release-dedup table so a
-                      release retried across a restart is still recognized)
-     kind 2  desc     u32 serial, u32 registration version, descriptor
-     kind 3  journal  u16-prefixed segment name, then a kind-1/2 body — a
-                      copy of a segment-log record, redirected through the
-                      shard journal (journal files only)
+     kind 0  header   u16-prefixed log name (files are self-describing)
+     kind 3  record   u16-prefixed segment name, then one of
+       kind 1  commit   u32 session, u32 version, Iw_wire.Diff (the diff
+                        carries its own from_version; session + from_version
+                        let the server rebuild its release-dedup table so a
+                        release retried across a restart is still
+                        recognized)
+       kind 2  desc     u32 serial, u32 registration version, descriptor
+
+   A kind 1 or 2 body outside a kind-3 record is the older per-segment log
+   layout; recovery refuses it rather than guess.
 
    Not thread-safe: each server shard owns a store handle and serializes its
-   calls under the shard lock (a segment's log is only ever appended by its
-   owning shard), and recovery runs before any connection is served. *)
+   calls under the shard lock, and recovery runs before any connection is
+   served. *)
 
 type fsync =
   | Always
@@ -109,8 +112,6 @@ let log_suffix = ".wal"
 
 let checkpoint_suffix = ".ckpt"
 
-let journal_suffix = ".jrnl"
-
 let checkpoint_magic = "IWCKPT03"
 
 (* Low-level durability primitives. *)
@@ -174,34 +175,29 @@ let quarantine path =
 
 (* Record codec. *)
 
-let encode_entry buf = function
+(* A record body: kind 3, the segment the entry belongs to, then the entry
+   (kind 1/2). *)
+let encode_record buf ~segment = function
   | Commit { session; version; diff } ->
+    Iw_wire.Buf.u8 buf 3;
+    Iw_wire.Buf.string buf segment;
     Iw_wire.Buf.u8 buf 1;
     Iw_wire.Buf.u32 buf session;
     Iw_wire.Buf.u32 buf version;
     Iw_wire.Diff.encode buf diff
   | Desc { serial; version; desc } ->
+    Iw_wire.Buf.u8 buf 3;
+    Iw_wire.Buf.string buf segment;
     Iw_wire.Buf.u8 buf 2;
     Iw_wire.Buf.u32 buf serial;
     Iw_wire.Buf.u32 buf version;
     Iw_wire.put_desc buf desc
 
-(* A header body: kind 0 plus the segment name. *)
+(* A header body: kind 0 plus the log name. *)
 let header_body name =
   let buf = Iw_wire.Buf.create () in
   Iw_wire.Buf.u8 buf 0;
   Iw_wire.Buf.string buf name;
-  Iw_wire.Buf.contents buf
-
-(* A journal body: kind 3, the segment the record belongs to, then the
-   segment-log record body (kind 1/2) verbatim. *)
-let journal_body segment body =
-  let buf =
-    Iw_wire.Buf.create ~capacity:(String.length body + String.length segment + 8) ()
-  in
-  Iw_wire.Buf.u8 buf 3;
-  Iw_wire.Buf.string buf segment;
-  Iw_wire.Buf.add_string buf body;
   Iw_wire.Buf.contents buf
 
 let frame_record body =
@@ -253,14 +249,23 @@ let decode_entry r = function
     Desc { serial; version; desc }
   | t -> raise (Iw_wire.Malformed (Printf.sprintf "unknown WAL record kind %d" t))
 
-let decode_body body k =
+let decode_body body =
   let r = Iw_wire.Reader.of_string body in
   match Iw_wire.Reader.u8 r with
-  | 0 -> k (`Header (Iw_wire.Reader.string r))
+  | 0 -> `Header (Iw_wire.Reader.string r)
   | 3 ->
     let segment = Iw_wire.Reader.string r in
-    k (`Journal (segment, decode_entry r (Iw_wire.Reader.u8 r)))
-  | t -> k (`Entry (decode_entry r t))
+    `Record (segment, decode_entry r (Iw_wire.Reader.u8 r))
+  | 1 | 2 -> `Untagged
+  | t -> raise (Iw_wire.Malformed (Printf.sprintf "unknown WAL record kind %d" t))
+
+let untagged_layout = "untagged record: a per-segment log from an older store layout"
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
 (* The store. *)
 
@@ -273,17 +278,13 @@ type t = {
   t_dir : string;
   t_fsync : fsync;
   t_flight : Iw_flight.t option;
-  t_logs : (string, log) Hashtbl.t;  (* segment -> open log *)
-  t_journal_name : string;  (* this handle's journal file basename *)
-  mutable t_journal : log option;  (* open lazily, at the first journaled batch *)
+  t_name : string;  (* the log's basename, without the suffix *)
+  mutable t_log : log option;  (* opened lazily, at the first append *)
   (* Group commit: while a batch is open, appends under [Always] skip their
-     per-record fsync and park the dirty log here; [end_batch] makes the
-     whole batch durable with one fsync — of the single dirty log, or of the
-     shard journal (into which [t_batch_pending]'s record bodies are copied)
-     when the batch spans several segments' logs. *)
-  mutable t_batch : (string, log) Hashtbl.t option;
+     per-record fsync and note their segment here; [end_batch] makes the
+     whole batch durable with one fsync of the log. *)
+  mutable t_batch : (string, unit) Hashtbl.t option;
   mutable t_batch_records : int;
-  mutable t_batch_pending : (string * string) list;  (* (segment, body), reversed *)
   m_appended : Iw_metrics.counter;
   m_append_bytes : Iw_metrics.counter;
   m_replayed : Iw_metrics.counter;
@@ -293,10 +294,9 @@ type t = {
   m_recovery_us : Iw_metrics.histogram;
   m_group_commits : Iw_metrics.counter;
   m_group_batch_records : Iw_metrics.histogram;
-  m_journal_records : Iw_metrics.counter;
 }
 
-let create ?(fsync = Interval 1.0) ?(journal = "journal") ?metrics ?flight dir =
+let create ?(fsync = Interval 1.0) ?(journal = "shard-0") ?metrics ?flight dir =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   let m =
     match metrics with
@@ -307,12 +307,10 @@ let create ?(fsync = Interval 1.0) ?(journal = "journal") ?metrics ?flight dir =
     t_dir = dir;
     t_fsync = fsync;
     t_flight = flight;
-    t_logs = Hashtbl.create 8;
-    t_journal_name = journal;
-    t_journal = None;
+    t_name = journal;
+    t_log = None;
     t_batch = None;
     t_batch_records = 0;
-    t_batch_pending = [];
     m_appended =
       Iw_metrics.counter m ~help:"WAL records appended" "iw_store_records_appended_total";
     m_append_bytes =
@@ -330,19 +328,15 @@ let create ?(fsync = Interval 1.0) ?(journal = "journal") ?metrics ?flight dir =
     m_fsync_us =
       Iw_metrics.histogram_us m ~help:"WAL fsync latency" "iw_store_fsync_us";
     m_recovery_us =
-      Iw_metrics.histogram_us m ~help:"Segment recovery time (checkpoint + replay)"
+      Iw_metrics.histogram_us m ~help:"Log replay time at recovery, per log"
         "iw_store_recovery_us";
     m_group_commits =
-      Iw_metrics.counter m ~help:"Group-commit flushes (one per batch with dirty logs)"
+      Iw_metrics.counter m ~help:"Group-commit flushes (one per batch with a dirty log)"
         "iw_store_group_commits_total";
     m_group_batch_records =
       Iw_metrics.histogram_count m
         ~help:"Records whose fsync was deferred, per group-commit flush"
         "iw_store_group_batch_records";
-    m_journal_records =
-      Iw_metrics.counter m
-        ~help:"Records redirected through the shard journal (group commit)"
-        "iw_store_journal_records_total";
   }
 
 let dir t = t.t_dir
@@ -351,13 +345,10 @@ let fsync_policy t = t.t_fsync
 
 let note_recovery_us t us = Iw_metrics.observe t.m_recovery_us us
 
-let log_path t segment = Filename.concat t.t_dir (escape_name segment ^ log_suffix)
+let log_path t = Filename.concat t.t_dir (escape_name t.t_name ^ log_suffix)
 
 let checkpoint_path t segment =
   Filename.concat t.t_dir (escape_name segment ^ checkpoint_suffix)
-
-let journal_path t =
-  Filename.concat t.t_dir (escape_name t.t_journal_name ^ journal_suffix)
 
 let do_fsync t log =
   let t0 = Iw_metrics.now_us () in
@@ -377,102 +368,49 @@ let write_record t log record =
   Iw_metrics.incr t.m_appended;
   Iw_metrics.incr ~by:(String.length record) t.m_append_bytes
 
-let open_log t segment =
-  match Hashtbl.find_opt t.t_logs segment with
-  | Some log -> log
-  | None ->
-    let path = log_path t segment in
-    let fd =
-      Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
-    in
-    let log = { l_fd = fd; l_last_sync = Unix.gettimeofday () } in
-    (* A fresh (empty) log starts with its header record so the file is
-       self-describing even if the directory is later reassembled by hand. *)
-    if (Unix.fstat fd).Unix.st_size = 0 then begin
-      write_record t log (frame_record (header_body segment));
-      (* The header must hit the directory too: a log whose first record is
-         torn is indistinguishable from corruption. *)
-      do_fsync t log;
-      fsync_dir t.t_dir
-    end;
-    Hashtbl.replace t.t_logs segment log;
-    log
-
-(* The shard journal: one append-only file per store handle.  Same framing
-   as a segment log; its header record carries the journal name, and every
-   later record is a kind-3 redirect wrapping a segment-log body. *)
-let open_journal t =
-  match t.t_journal with
-  | Some log -> log
-  | None ->
-    let path = journal_path t in
-    let fd =
-      Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
-    in
-    let log = { l_fd = fd; l_last_sync = Unix.gettimeofday () } in
-    if (Unix.fstat fd).Unix.st_size = 0 then begin
-      let header = frame_record (header_body t.t_journal_name) in
-      really_write fd (Bytes.unsafe_of_string header) 0 (String.length header);
-      do_fsync t log;
-      fsync_dir t.t_dir
-    end;
-    t.t_journal <- Some log;
-    log
-
-(* Drop the journal: every record it covers is durable elsewhere — in a
-   checkpoint (the caller just checkpointed every segment this handle owns)
-   or in a healed segment log (recovery).  The next journaled batch starts a
-   fresh file. *)
-let reset_journal t =
-  (match t.t_journal with
-  | Some log ->
-    (try Unix.close log.l_fd with Unix.Unix_error _ -> ());
-    t.t_journal <- None
-  | None -> ());
-  let path = journal_path t in
-  if Sys.file_exists path then begin
-    (try Sys.remove path with Sys_error _ -> ());
+(* Open the log for appending.  A fresh (empty) log starts with its header
+   record so the file is self-describing. *)
+let open_log t flags =
+  let fd = Unix.openfile (log_path t) (Unix.O_WRONLY :: Unix.O_CREAT :: flags) 0o644 in
+  let log = { l_fd = fd; l_last_sync = Unix.gettimeofday () } in
+  if (Unix.fstat fd).Unix.st_size = 0 then begin
+    write_record t log (frame_record (header_body t.t_name));
+    (* The header must hit the directory too: a log whose first record is
+       torn is indistinguishable from corruption. *)
+    do_fsync t log;
     fsync_dir t.t_dir
-  end
+  end;
+  t.t_log <- Some log;
+  log
 
 (* Append one entry and make it as durable as the policy promises before the
    caller acknowledges anything.  The write itself always reaches the kernel
    (a later kill -9 cannot lose it); fsync is what guards power loss.
-
    Inside an open batch an [Always]-policy append defers its fsync to
-   [end_batch]; the caller must then defer the acknowledgement too.
-   [durable] forces an immediate fsync regardless of policy or batch —
-   recovery uses it to heal journal-only records into the log. *)
-let append ?(durable = false) t ~segment entry =
-  let log = open_log t segment in
+   [end_batch]; the caller must then defer the acknowledgement too. *)
+let append t ~segment entry =
+  let log =
+    match t.t_log with
+    | Some log -> log
+    | None -> open_log t [ Unix.O_APPEND ]
+  in
   let buf = Iw_wire.Buf.create ~capacity:256 () in
-  encode_entry buf entry;
-  let body = Iw_wire.Buf.contents buf in
-  write_record t log (frame_record body);
-  if durable then do_fsync t log
-  else
-    match t.t_batch, t.t_fsync with
-    | Some dirty, Always ->
-      Hashtbl.replace dirty segment log;
-      t.t_batch_records <- t.t_batch_records + 1;
-      t.t_batch_pending <- (segment, body) :: t.t_batch_pending
-    | _ -> maybe_fsync t log
+  encode_record buf ~segment entry;
+  write_record t log (frame_record (Iw_wire.Buf.contents buf));
+  match t.t_batch, t.t_fsync with
+  | Some dirty, Always ->
+    Hashtbl.replace dirty segment ();
+    t.t_batch_records <- t.t_batch_records + 1
+  | _ -> maybe_fsync t log
 
 (* Group commit.  [begin_batch] opens a deferral window; [end_batch] closes
-   it with ONE fsync for the whole batch: of the single dirty log when the
-   batch stayed within one segment, or of the shard journal — into which
-   every deferred record body is copied — when it spans several.  Copying
-   through the journal is what lets concurrent releases on different
-   segments (each with its own log file) share a single fsync; the segment
-   logs stay kernel-buffered, and recovery replays the journal after the
-   logs to cover a power loss.  Only the [Always] policy defers:
-   [Interval]/[Never] already decouple appends from fsyncs, so batching
-   would change nothing. *)
+   it with ONE fsync of the log, whatever segments the batch spans.  Only
+   the [Always] policy defers: [Interval]/[Never] already decouple appends
+   from fsyncs, so batching would change nothing. *)
 let begin_batch t =
   if t.t_batch = None then begin
     t.t_batch <- Some (Hashtbl.create 4);
-    t.t_batch_records <- 0;
-    t.t_batch_pending <- []
+    t.t_batch_records <- 0
   end
 
 let batch_dirty t =
@@ -489,85 +427,48 @@ let end_batch t =
   match t.t_batch with
   | None -> ()
   | Some dirty ->
-    let pending = List.rev t.t_batch_pending in
     t.t_batch <- None;
-    t.t_batch_pending <- [];
-    if Hashtbl.length dirty > 0 then begin
-      (if Hashtbl.length dirty = 1 then
-         (* One segment dirtied: its own fsync is the same single syscall,
-            and skipping the journal keeps it from growing needlessly. *)
-         Hashtbl.iter (fun _ log -> do_fsync t log) dirty
-       else begin
-         let jlog = open_journal t in
-         let buf = Buffer.create 1024 in
-         List.iter
-           (fun (segment, body) ->
-             Buffer.add_string buf (frame_record (journal_body segment body)))
-           pending;
-         let data = Buffer.contents buf in
-         really_write jlog.l_fd (Bytes.unsafe_of_string data) 0 (String.length data);
-         Iw_metrics.incr ~by:(List.length pending) t.m_journal_records;
-         Iw_metrics.incr ~by:(String.length data) t.m_append_bytes;
-         do_fsync t jlog
-       end);
+    (match t.t_log with
+    | Some log when Hashtbl.length dirty > 0 ->
+      do_fsync t log;
       Iw_metrics.incr t.m_group_commits;
       Iw_metrics.observe t.m_group_batch_records (float_of_int t.t_batch_records)
-    end;
+    | _ -> ());
     t.t_batch_records <- 0
 
-(* Checkpoint barrier: the caller has just renamed a durable checkpoint into
-   place, so everything the log recorded is now redundant — reset it to just
-   its header.  Crash ordering: the checkpoint is durable first, so losing
-   the truncation merely leaves stale records that replay will skip. *)
-let truncate t ~segment =
-  (* The checkpoint that triggered this truncation made every logged record
-     redundant, so a pending deferred fsync for this segment is moot — and
-     its parked fd is about to be closed.  Its queued journal copies go
-     too: writing them later would only be skipped at replay. *)
-  (match t.t_batch with
-  | Some dirty ->
-    Hashtbl.remove dirty segment;
-    t.t_batch_pending <- List.filter (fun (s, _) -> s <> segment) t.t_batch_pending
-  | None -> ());
-  (match Hashtbl.find_opt t.t_logs segment with
+(* Checkpoint barrier: the caller has just renamed a durable checkpoint of
+   every segment this handle logs into place, so everything the log
+   recorded is now redundant — reset it to just its header, and cancel the
+   open batch's deferred fsync (its records are covered too).  Crash
+   ordering: the checkpoints are durable first, so losing the truncation
+   merely leaves stale records that replay will skip.  A handle that has not
+   appended yet has no log to reset: recovery removed every log it read. *)
+let truncate t =
+  (match t.t_batch with Some dirty -> Hashtbl.reset dirty | None -> ());
+  match t.t_log with
   | Some log ->
     (try Unix.close log.l_fd with Unix.Unix_error _ -> ());
-    Hashtbl.remove t.t_logs segment
-  | None -> ());
-  let path = log_path t segment in
-  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  let log = { l_fd = fd; l_last_sync = Unix.gettimeofday () } in
-  write_record t log (frame_record (header_body segment));
-  do_fsync t log;
-  Hashtbl.replace t.t_logs segment log
-
-let flight_note t ?version ~segment event =
-  match t.t_flight with
-  | Some f -> Iw_flight.record f ~segment ?version event
+    t.t_log <- None;
+    ignore (open_log t [ Unix.O_TRUNC ] : log)
   | None -> ()
 
 (* Read a log file for recovery: parse its good prefix, physically truncate
    anything after it (a torn tail is the normal shape of a crash mid-append),
-   and hand back the segment name and entries.  A log whose header record is
-   unreadable tells us nothing trustworthy about any segment: quarantine it
-   whole.  [file] is a name inside the store directory. *)
+   and hand back the tagged entries.  A log whose header record is
+   unreadable tells us nothing trustworthy: quarantine it whole.  A log in
+   the older per-segment layout is refused before anything is touched.
+   [file] is a name inside the store directory. *)
 let recover_log t ~file =
   let path = Filename.concat t.t_dir file in
-  let ic = open_in_bin path in
-  let data =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let segment = ref None in
+  let data = read_file path in
+  let header = ref false in
   let entries = ref [] in
   let good_off, _, stop =
     scan_records data ~f:(fun body ->
-        decode_body body (function
-          | `Header name -> if !segment = None then segment := Some name
-          | `Entry e -> entries := e :: !entries
-          | `Journal _ ->
-            raise (Iw_wire.Malformed "journal record in a segment log")))
+        match decode_body body with
+        | `Header _ -> header := true
+        | `Record r -> entries := r :: !entries
+        | `Untagged -> failwith (Printf.sprintf "%s: %s" path untagged_layout))
   in
   (match stop with
   | Scan_eof -> ()
@@ -582,14 +483,11 @@ let recover_log t ~file =
         Unix.fsync fd);
     Iw_metrics.incr t.m_truncations;
     Iw_metrics.incr ~by:(String.length data - good_off) t.m_truncated_bytes;
-    (match !segment with
-    | Some s -> flight_note t ~segment:s "store_truncate"
-    | None -> ());
+    Option.iter (fun f -> Iw_flight.record f ~segment:file "store_truncate") t.t_flight;
     Printf.eprintf "iw-store: %s: %s at byte %d; truncated %d trailing byte(s)\n%!"
       path reason good_off
       (String.length data - good_off));
-  match !segment with
-  | None ->
+  if not !header then begin
     if String.length data > 0 then begin
       let dst = quarantine path in
       Printf.eprintf "iw-store: %s: no readable header record; quarantined as %s\n%!"
@@ -597,44 +495,12 @@ let recover_log t ~file =
     end
     else (try Sys.remove path with Sys_error _ -> ());
     None
-  | Some name ->
+  end
+  else begin
     let entries = List.rev !entries in
     Iw_metrics.incr ~by:(List.length entries) t.m_replayed;
-    Some (name, entries)
-
-(* Read a shard journal for recovery: the good prefix's redirect records, in
-   append order, each naming the segment its body belongs to.  A torn tail
-   is records whose [end_batch] fsync never completed — no acknowledgement
-   went out for them, so using the good prefix loses nothing promised.  The
-   file is read-only here; the caller discards it (see [discard_journal])
-   once every surviving record is durable in its segment's log again. *)
-let recover_journal t ~file =
-  let path = Filename.concat t.t_dir file in
-  let ic = open_in_bin path in
-  let data =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let entries = ref [] in
-  let _, _, stop =
-    scan_records data ~f:(fun body ->
-        decode_body body (function
-          | `Header _ -> ()
-          | `Journal (segment, e) -> entries := (segment, e) :: !entries
-          | `Entry _ ->
-            raise (Iw_wire.Malformed "segment-log record in a shard journal")))
-  in
-  (match stop with
-  | Scan_eof -> ()
-  | Scan_torn reason | Scan_corrupt reason ->
-    Printf.eprintf "iw-store: %s: %s; using the journal's good prefix\n%!" path
-      reason);
-  List.rev !entries
-
-let discard_journal t ~file =
-  (try Sys.remove (Filename.concat t.t_dir file) with Sys_error _ -> ());
-  fsync_dir t.t_dir
+    Some entries
+  end
 
 (* Offline validation (iw-check --store): everything a reader can say about
    a durability directory without a server. *)
@@ -644,105 +510,76 @@ type tail =
   | Tail_torn of string
   | Tail_corrupt of string
 
+type segment_report = {
+  sr_segment : string;
+  sr_commits : int;
+  sr_first_commit : int option;
+  sr_last_commit : int option;
+  sr_gap : (int * int) option;
+}
+
 type log_report = {
   lr_file : string;
-  lr_segment : string option;
+  lr_name : string option;
   lr_records : int;
-  lr_commits : int;
-  lr_first_commit : int option;  (* first commit record's version *)
-  lr_last_commit : int option;
-  lr_gap : (int * int) option;  (* (expected, got) at the first discontinuity *)
+  lr_segments : segment_report list;
   lr_tail : tail;
 }
 
 let scan_log path =
-  match open_in_bin path with
+  match read_file path with
   | exception Sys_error msg -> Error msg
-  | ic ->
-    let data =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
+  | data ->
+    let name = ref None in
+    let by_segment = Hashtbl.create 8 in
+    let order = ref [] in  (* segments in first-seen order, reversed *)
+    let note segment version =
+      let sr =
+        match Hashtbl.find_opt by_segment segment with
+        | Some sr -> sr
+        | None ->
+          order := segment :: !order;
+          {
+            sr_segment = segment;
+            sr_commits = 0;
+            sr_first_commit = None;
+            sr_last_commit = None;
+            sr_gap = None;
+          }
+      in
+      let sr =
+        match version with
+        | None -> sr
+        | Some v ->
+          {
+            sr with
+            sr_commits = sr.sr_commits + 1;
+            sr_first_commit =
+              (if sr.sr_first_commit = None then Some v else sr.sr_first_commit);
+            sr_last_commit = Some v;
+            sr_gap =
+              (match sr.sr_last_commit with
+              | Some prev when v <> prev + 1 && sr.sr_gap = None -> Some (prev + 1, v)
+              | _ -> sr.sr_gap);
+          }
+      in
+      Hashtbl.replace by_segment segment sr
     in
-    let segment = ref None in
-    let commits = ref 0 in
-    let first = ref None in
-    let last = ref None in
-    let gap = ref None in
     let _, records, stop =
       scan_records data ~f:(fun body ->
-          decode_body body (function
-            | `Header name -> if !segment = None then segment := Some name
-            | `Entry (Commit { version; _ }) ->
-              incr commits;
-              if !first = None then first := Some version;
-              (match !last with
-              | Some prev when version <> prev + 1 && !gap = None ->
-                gap := Some (prev + 1, version)
-              | _ -> ());
-              last := Some version
-            | `Entry (Desc _) -> ()
-            | `Journal _ ->
-              raise (Iw_wire.Malformed "journal record in a segment log")))
+          match decode_body body with
+          | `Header n -> if !name = None then name := Some n
+          | `Record (segment, Commit { version; _ }) -> note segment (Some version)
+          | `Record (segment, Desc _) -> note segment None
+          | `Untagged -> raise (Iw_wire.Malformed untagged_layout))
     in
     Ok
       {
         lr_file = Filename.basename path;
-        lr_segment = !segment;
+        lr_name = !name;
         lr_records = records;
-        lr_commits = !commits;
-        lr_first_commit = !first;
-        lr_last_commit = !last;
-        lr_gap = !gap;
+        lr_segments = List.rev_map (Hashtbl.find by_segment) !order;
         lr_tail =
-          (match stop with
-          | Scan_eof -> Tail_clean
-          | Scan_torn r -> Tail_torn r
-          | Scan_corrupt r -> Tail_corrupt r);
-      }
-
-type journal_report = {
-  jr_file : string;
-  jr_records : int;  (* redirect records (header excluded) *)
-  jr_commits : int;
-  jr_segments : string list;  (* distinct segment names, first-seen order *)
-  jr_tail : tail;
-}
-
-(* Read-only scan of a shard journal, the offline counterpart of
-   [recover_journal].  A torn tail is normal (an [end_batch] fsync the crash
-   interrupted); a corrupt record or a non-redirect body is not. *)
-let scan_journal path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    let data =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let commits = ref 0 in
-    let redirects = ref 0 in
-    let segments = ref [] in
-    let _, _, stop =
-      scan_records data ~f:(fun body ->
-          decode_body body (function
-            | `Header _ -> ()
-            | `Journal (segment, e) ->
-              incr redirects;
-              (match e with Commit _ -> incr commits | Desc _ -> ());
-              if not (List.mem segment !segments) then
-                segments := segment :: !segments
-            | `Entry _ ->
-              raise (Iw_wire.Malformed "segment-log record in a shard journal")))
-    in
-    Ok
-      {
-        jr_file = Filename.basename path;
-        jr_records = !redirects;
-        jr_commits = !commits;
-        jr_segments = List.rev !segments;
-        jr_tail =
           (match stop with
           | Scan_eof -> Tail_clean
           | Scan_torn r -> Tail_torn r
@@ -753,15 +590,10 @@ let scan_journal path =
    name/version fields.  The full body decode needs the server's segment
    structures; this is the part an offline tool can vouch for. *)
 let verify_checkpoint path =
-  match open_in_bin path with
+  match read_file path with
   | exception Sys_error msg -> Error msg
-  | ic ->
-    let data =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    (match unseal data with
+  | data -> (
+    match unseal data with
     | None -> Error "CRC trailer mismatch (corrupt or truncated)"
     | Some body -> (
       let r = Iw_wire.Reader.of_string body in

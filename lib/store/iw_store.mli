@@ -1,24 +1,24 @@
-(** Durable segments: a per-segment append-only write-ahead log of committed
-    wire-format diffs, plus the crash-consistency primitives checkpoint files
-    are built from.
+(** Durable segments: one append-only write-ahead log per store handle (one
+    per server shard) of committed wire-format diffs, each record tagged with
+    its segment's name, plus the crash-consistency primitives checkpoint
+    files are built from.
 
-    The server appends every committed update to the segment's log {e before}
+    The server appends every committed update to its shard's log {e before}
     acknowledging the release, so a crash can only lose updates the client
     never saw acknowledged.  On startup the server loads the newest valid
-    checkpoint and replays the log past it; a torn or corrupt log tail — the
-    normal shape of a crash mid-append — is truncated, not fatal.
-    Checkpoints are log barriers: once one is durably renamed into place the
-    log is reset, so recovery cost is bounded by the checkpoint interval.
+    checkpoints and replays every log past them, routing each record to its
+    segment by name; a torn or corrupt log tail — the normal shape of a
+    crash mid-append — is truncated, not fatal.  Checkpoints are log
+    barriers: once every segment of a shard is durably checkpointed its log
+    is reset, so recovery cost is bounded by the checkpoint interval.
 
     On-disk layout (one directory per server): [<name>.ckpt] checkpoints with
-    a whole-file CRC-32 trailer, [<name>.wal] logs of length-prefixed
-    CRC-32-protected records, [<journal>.jrnl] per-shard group-commit
-    journals (see the Group commit section), and [.corrupt]-suffixed
-    quarantined files that failed validation.
+    a whole-file CRC-32 trailer, [shard-<id>.wal] logs of length-prefixed
+    CRC-32-protected records, and [.corrupt]-suffixed quarantined files that
+    failed validation.
 
     Not thread-safe: each server shard owns a store handle and serializes its
-    calls under the shard lock — a segment's log is only ever appended by the
-    shard that owns the segment — and recovery runs before any connection is
+    calls under the shard lock, and recovery runs before any connection is
     served. *)
 
 (** {1 Fsync policy} *)
@@ -54,11 +54,11 @@ val create :
   string ->
   t
 (** [create dir] opens (creating if needed) a durability directory.  [fsync]
-    defaults to [Interval 1.0].  [journal] names this handle's group-commit
-    journal file (default ["journal"], so [journal.jrnl]); server shards
-    sharing one directory must each pass a distinct name.  [metrics]
-    receives the [iw_store_*] instruments; omitted means they are recorded
-    nowhere. *)
+    defaults to [Interval 1.0].  [journal] names this handle's log (default
+    ["shard-0"], so [shard-0.wal]); server shards sharing one directory must
+    each pass a distinct name.  The log is opened at the first append.
+    [metrics] receives the [iw_store_*] instruments; omitted means they are
+    recorded nowhere. *)
 
 val dir : t -> string
 
@@ -81,48 +81,39 @@ type entry =
       desc : Iw_types.desc;
     }
 
-val append : ?durable:bool -> t -> segment:string -> entry -> unit
-(** Append one record ([u32] body length, [u32] CRC-32 of the body, body) and
-    apply the fsync policy.  The first append to a fresh log writes a
-    self-describing header record carrying the segment name and fsyncs file
-    and directory.  Call this {e before} acknowledging the update.
-    [~durable:true] fsyncs immediately regardless of policy or open batch —
-    recovery uses it to heal journal-covered records back into the log. *)
+val append : t -> segment:string -> entry -> unit
+(** Append one record ([u32] body length, [u32] CRC-32 of the body, body
+    tagged with [segment]) and apply the fsync policy.  The first append to
+    a fresh log writes a self-describing header record and fsyncs file and
+    directory.  Call this {e before} acknowledging the update. *)
 
-val truncate : t -> segment:string -> unit
-(** Checkpoint barrier: reset the segment's log to just its header record.
-    Call {e after} the checkpoint is durably in place — crashing between the
-    two merely leaves stale records that replay skips.  Inside an open batch
-    the segment's pending deferred fsync (if any) is cancelled: the
-    checkpoint already made those records redundant. *)
+val truncate : t -> unit
+(** Checkpoint barrier: reset the log to just its header record.  Call
+    {e after} a checkpoint of every segment this handle logs is durably in
+    place — crashing between the two merely leaves stale records that
+    replay skips.  Inside an open batch the pending deferred fsync is
+    cancelled: the checkpoints already made those records redundant. *)
 
 (** {1 Group commit}
 
     A shard worker draining a batch of queued releases brackets it with
     [begin_batch]/[end_batch]: while the batch is open, [Always]-policy
     appends write their record to the kernel but defer the fsync, and
-    [end_batch] makes the whole batch durable with {e one} fsync
-    ([iw_store_group_commits_total], [iw_store_group_batch_records]).  A
-    batch confined to one segment fsyncs that log directly; a batch spanning
-    several segments copies every deferred record body into the handle's
-    {e shard journal} ([<journal>.jrnl],
-    [iw_store_journal_records_total]) and fsyncs only the journal — that
-    single syscall is what lets concurrent releases on different segments,
-    each with its own log file, share one fsync.  The segment logs stay
-    kernel-buffered; recovery replays journals after logs (and then heals
-    the logs), so a power loss cannot lose an acknowledged record.  The
-    log-before-ack contract shifts accordingly: a deferred append's release
-    must not be acknowledged (and its version must not become visible to
-    reads) until [end_batch] returns — {!batch_dirty} tells the caller
-    whether anything in the current batch is still pending.  [Interval] and
-    [Never] policies are unaffected.  An [end_batch] that fails to fsync
-    raises, and the caller must fail every deferred acknowledgement. *)
+    [end_batch] makes the whole batch durable with {e one} fsync of the log,
+    whatever segments it spans ([iw_store_group_commits_total],
+    [iw_store_group_batch_records]).  The log-before-ack contract shifts
+    accordingly: a deferred append's release must not be acknowledged (and
+    its version must not become visible to reads) until [end_batch]
+    returns — {!batch_dirty_segment} tells the caller whether its segment
+    has anything still pending.  [Interval] and [Never] policies are
+    unaffected.  An [end_batch] that fails to fsync raises, and the caller
+    must fail every deferred acknowledgement. *)
 
 val begin_batch : t -> unit
 (** Open a deferral window.  Idempotent while a batch is open. *)
 
 val end_batch : t -> unit
-(** Fsync every log dirtied since [begin_batch] and close the window.
+(** Fsync the log if the batch deferred anything, and close the window.
     A no-op when no batch is open. *)
 
 val batch_dirty : t -> bool
@@ -135,42 +126,25 @@ val batch_dirty_segment : t -> segment:string -> bool
     contract only forbids exposing the {e same} segment's un-fsynced
     version. *)
 
-val reset_journal : t -> unit
-(** Remove this handle's shard journal.  Call only when every record it
-    covers is durable elsewhere — after checkpointing (and truncating) every
-    segment the handle owns, or after recovery has healed the logs. *)
-
-val recover_log : t -> file:string -> (string * entry list) option
+val recover_log : t -> file:string -> (string * entry) list option
 (** Parse log [file] (a basename inside the store directory) for recovery:
-    returns the segment name from the header record and the entries of the
-    good prefix, in append order.  A torn or corrupt tail is physically
-    truncated (with a logged warning, metrics, and a flight event); a
-    non-empty log with no readable header is quarantined as
-    [<file>.corrupt] and an empty one removed, both yielding [None]. *)
+    the entries of the good prefix, in append order, each paired with its
+    segment's name.  A torn or corrupt tail is physically truncated (with a
+    logged warning, metrics, and a flight event); a non-empty log with no
+    readable header is quarantined as [<file>.corrupt] and an empty one
+    removed, both yielding [None].
+    @raise Failure naming the file when it holds a record of the older
+    per-segment layout (a kind-1/2 body without a segment tag); the file is
+    left untouched. *)
 
-val recover_journal : t -> file:string -> (string * entry) list
-(** Parse shard journal [file] (a basename inside the store directory) for
-    recovery: the good prefix's redirect records in append order, each
-    paired with the segment it belongs to.  Replay them {e after} every
-    segment log — a journal record matters exactly when its log copy's
-    deferred fsync was lost to a power failure.  A torn tail is an
-    interrupted [end_batch] whose releases were never acknowledged; the good
-    prefix is complete.  Read-only: discard the file with
-    {!discard_journal} once the surviving records are durable in their
-    logs. *)
-
-val discard_journal : t -> file:string -> unit
-(** Remove journal [file] (recovery, after healing the logs it covered). *)
-
-val log_path : t -> string -> string
-(** The log file path for a segment name. *)
+val log_path : t -> string
+(** This handle's log file path. *)
 
 val checkpoint_path : t -> string -> string
 (** The checkpoint file path for a segment name. *)
 
 val note_recovery_us : t -> float -> unit
-(** Record one segment's recovery time (checkpoint load + replay) in the
-    [iw_store_recovery_us] histogram. *)
+(** Record one log's replay time in the [iw_store_recovery_us] histogram. *)
 
 (** {1 Crash-consistency primitives}
 
@@ -201,14 +175,11 @@ val quarantine : string -> string
     evidence for the operator) and return the new path. *)
 
 val escape_name : string -> string
-(** Percent-escape a segment name into a filename; shared with the server's
-    checkpoint naming so a segment's [.ckpt] and [.wal] sort together. *)
+(** Percent-escape a segment or log name into a filename. *)
 
 val log_suffix : string
 
 val checkpoint_suffix : string
-
-val journal_suffix : string
 
 (** {1 Offline validation}
 
@@ -221,34 +192,27 @@ type tail =
       (** truncated length or body: consistent with a crash mid-append *)
   | Tail_corrupt of string  (** CRC mismatch or undecodable record *)
 
+type segment_report = {
+  sr_segment : string;
+  sr_commits : int;
+  sr_first_commit : int option;  (** first commit record's version *)
+  sr_last_commit : int option;
+  sr_gap : (int * int) option;
+      (** [(expected, got)] at the segment's first version discontinuity *)
+}
+
 type log_report = {
   lr_file : string;
-  lr_segment : string option;  (** [None]: header record missing/unreadable *)
+  lr_name : string option;  (** [None]: header record missing/unreadable *)
   lr_records : int;  (** valid records, header included *)
-  lr_commits : int;
-  lr_first_commit : int option;  (** first commit record's version *)
-  lr_last_commit : int option;
-  lr_gap : (int * int) option;
-      (** [(expected, got)] at the first version discontinuity *)
+  lr_segments : segment_report list;  (** first-seen order *)
   lr_tail : tail;
 }
 
 val scan_log : string -> (log_report, string) result
-(** Read-only scan of a log file; never modifies it.  [Error] only when the
-    file cannot be read at all. *)
-
-type journal_report = {
-  jr_file : string;
-  jr_records : int;  (** redirect records (header excluded) *)
-  jr_commits : int;
-  jr_segments : string list;  (** distinct segment names, first-seen order *)
-  jr_tail : tail;
-}
-
-val scan_journal : string -> (journal_report, string) result
-(** Read-only scan of a shard journal.  A torn tail is an interrupted
-    [end_batch] (normal crash shape); a corrupt record or a non-redirect
-    body is not. *)
+(** Read-only scan of a log file; never modifies it.  A record of the older
+    per-segment layout reads as [Tail_corrupt].  [Error] only when the file
+    cannot be read at all. *)
 
 val verify_checkpoint : string -> (string * int, string) result
 (** Structural validation of a checkpoint file: CRC trailer, magic, and the

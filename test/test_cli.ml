@@ -1,5 +1,6 @@
 (* iw-check CLI edge cases: exit codes and one-line errors for bad inputs,
-   plus end-to-end runs of the --model / --race modes.
+   plus end-to-end runs of the --model / --race / --store modes, and every
+   binary's --help.
    Each case spawns the real executable, the same way operators and
    `dune build @check` invoke it. *)
 
@@ -12,7 +13,7 @@ let read_all path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 (* (exit code, stdout, stderr) *)
-let iw_check args =
+let run exe args =
   let out = Filename.temp_file "iwcheck" ".out" in
   let err = Filename.temp_file "iwcheck" ".err" in
   let fd_out = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
@@ -31,6 +32,8 @@ let iw_check args =
   Sys.remove out;
   Sys.remove err;
   (code, stdout, stderr)
+
+let iw_check = run exe
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -131,6 +134,53 @@ let test_race_fixture () =
   Alcotest.(check int) "missing path: exit 2" 2 code;
   Alcotest.(check bool) ("names it: " ^ err) true (contains err "no-such-subdir")
 
+(* Every binary renders its manual: cmdliner escapes only $ ( ) \\ in doc
+   strings, so any other escaped character is a markup error printed in
+   place of the page. *)
+let test_help_plain () =
+  List.iter
+    (fun exe ->
+      let code, out, err = run exe [ "--help=plain" ] in
+      Alcotest.(check int) (exe ^ " --help exit 0") 0 code;
+      Alcotest.(check bool) (exe ^ " --help has no markup error") false
+        (contains (out ^ err) "cmdliner error"))
+    [ exe; "../bin/iw_server_main.exe"; "../bin/iw_admin.exe"; "../bin/iw_idlc.exe" ]
+
+(* --store on a shard log checks each segment inside it, and a directory in
+   the older per-segment layout is an error naming each such file. *)
+let test_store_layouts () =
+  let dir = Filename.temp_file "iwcheck" "store" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let s = Iw_store.create ~fsync:Iw_store.Never dir in
+  Iw_store.append s ~segment:"a"
+    (Iw_store.Desc { serial = 1; version = 0; desc = Iw_types.Prim Iw_arch.Int });
+  let code, out, _ = iw_check [ "--store"; dir ] in
+  Alcotest.(check int) ("shard log passes: " ^ out) 0 code;
+  Alcotest.(check bool) ("lists the segment: " ^ out) true (contains out "  a: 0 commit(s)");
+  let frame body =
+    let b = Iw_wire.Buf.create () in
+    Iw_wire.Buf.u32 b (String.length body);
+    Iw_wire.Buf.u32 b (Iw_wire.Crc32.string body);
+    Iw_wire.Buf.add_string b body;
+    Iw_wire.Buf.contents b
+  in
+  write_file (Filename.concat dir "shard-0.jrnl") (frame "\000\000\007shard-0");
+  (* A per-segment log: a header, then a desc record with no segment tag. *)
+  let untagged =
+    let b = Iw_wire.Buf.create () in
+    Iw_wire.Buf.u8 b 2;
+    Iw_wire.Buf.u32 b 1;
+    Iw_wire.Buf.u32 b 0;
+    Iw_wire.put_desc b (Iw_types.Prim Iw_arch.Int);
+    Iw_wire.Buf.contents b
+  in
+  write_file (Filename.concat dir "old.wal") (frame "\000\000\003old" ^ frame untagged);
+  let code, _, err = iw_check [ "--store"; dir ] in
+  Alcotest.(check int) "old layout fails" 1 code;
+  Alcotest.(check bool) ("names the journal: " ^ err) true (contains err "shard-0.jrnl");
+  Alcotest.(check bool) ("names the untagged log: " ^ err) true (contains err "old.wal")
+
 let suite =
   ( "cli",
     [
@@ -142,4 +192,6 @@ let suite =
         test_model_broken_counterexample;
       Alcotest.test_case "--model flag validation" `Quick test_model_bad_flags;
       Alcotest.test_case "--race fixtures and exit codes" `Quick test_race_fixture;
+      Alcotest.test_case "--store shard logs and the old layout" `Quick test_store_layouts;
+      Alcotest.test_case "--help=plain renders for every binary" `Quick test_help_plain;
     ] )

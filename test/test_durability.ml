@@ -78,28 +78,39 @@ let test_wal_roundtrip () =
   let s = Iw_store.create ~fsync:Iw_store.Never dir in
   let entries =
     [
-      Iw_store.Desc { serial = 7; version = 0; desc = Iw_types.Prim Iw_arch.Int };
-      commit ~session:3 ~version:1;
-      commit ~session:4 ~version:2;
+      ("dur/a b", Iw_store.Desc { serial = 7; version = 0; desc = Iw_types.Prim Iw_arch.Int });
+      ("dur/a b", commit ~session:3 ~version:1);
+      ("dur/c", commit ~session:5 ~version:1);
+      ("dur/a b", commit ~session:4 ~version:2);
     ]
   in
-  List.iter (Iw_store.append s ~segment:"dur/a b") entries;
-  let file = Filename.basename (Iw_store.log_path s "dur/a b") in
+  List.iter (fun (segment, e) -> Iw_store.append s ~segment e) entries;
+  let file = Filename.basename (Iw_store.log_path s) in
+  Alcotest.(check string) "one log per handle" ("shard-0" ^ Iw_store.log_suffix) file;
   (match Iw_store.recover_log s ~file with
   | None -> Alcotest.fail "log did not recover"
-  | Some (name, got) ->
-    Alcotest.(check string) "header carries the segment name" "dur/a b" name;
-    Alcotest.(check bool) "entries roundtrip" true (got = entries));
+  | Some got -> Alcotest.(check bool) "tagged entries roundtrip" true (got = entries));
   (* The read-only scan agrees and never modifies. *)
-  match Iw_store.scan_log (Iw_store.log_path s "dur/a b") with
+  match Iw_store.scan_log (Iw_store.log_path s) with
   | Error e -> Alcotest.fail e
-  | Ok r ->
+  | Ok r -> (
     Alcotest.(check bool) "tail clean" true (r.Iw_store.lr_tail = Iw_store.Tail_clean);
-    Alcotest.(check int) "records (header included)" 4 r.Iw_store.lr_records;
-    Alcotest.(check int) "commits" 2 r.Iw_store.lr_commits;
-    Alcotest.(check (option int)) "first commit" (Some 1) r.Iw_store.lr_first_commit;
-    Alcotest.(check (option int)) "last commit" (Some 2) r.Iw_store.lr_last_commit;
-    Alcotest.(check bool) "no gap" true (r.Iw_store.lr_gap = None)
+    Alcotest.(check (option string)) "header names the log" (Some "shard-0")
+      r.Iw_store.lr_name;
+    Alcotest.(check int) "records (header included)" 5 r.Iw_store.lr_records;
+    match r.Iw_store.lr_segments with
+    | [ a; c ] ->
+      Alcotest.(check string) "first-seen order" "dur/a b" a.Iw_store.sr_segment;
+      Alcotest.(check int) "commits" 2 a.Iw_store.sr_commits;
+      Alcotest.(check (option int)) "first commit" (Some 1) a.Iw_store.sr_first_commit;
+      Alcotest.(check (option int)) "last commit" (Some 2) a.Iw_store.sr_last_commit;
+      Alcotest.(check bool) "no gap across interleaving" true (a.Iw_store.sr_gap = None);
+      Alcotest.(check string) "second segment" "dur/c" c.Iw_store.sr_segment;
+      Alcotest.(check int) "its commits" 1 c.Iw_store.sr_commits
+    | l -> Alcotest.failf "scan found %d segment(s), want 2" (List.length l))
+
+let commits (r : Iw_store.log_report) =
+  List.fold_left (fun n sr -> n + sr.Iw_store.sr_commits) 0 r.lr_segments
 
 let file_size path = (Unix.stat path).Unix.st_size
 
@@ -111,7 +122,7 @@ let test_torn_tail_truncated () =
   List.iter
     (fun v -> Iw_store.append s ~segment:"seg" (commit ~session:1 ~version:v))
     [ 1; 2; 3 ];
-  let path = Iw_store.log_path s "seg" in
+  let path = Iw_store.log_path s in
   let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
   Unix.ftruncate fd (file_size path - 2);
   Unix.close fd;
@@ -119,13 +130,13 @@ let test_torn_tail_truncated () =
   | Ok r ->
     Alcotest.(check bool) "scan sees a torn tail" true
       (match r.Iw_store.lr_tail with Iw_store.Tail_torn _ -> true | _ -> false);
-    Alcotest.(check int) "good commits" 2 r.Iw_store.lr_commits
+    Alcotest.(check int) "good commits" 2 (commits r)
   | Error e -> Alcotest.fail e);
   (* A fresh store handle, as after a restart. *)
   let s2 = Iw_store.create ~fsync:Iw_store.Never dir in
   (match Iw_store.recover_log s2 ~file:(Filename.basename path) with
   | None -> Alcotest.fail "log did not recover"
-  | Some (_, entries) -> Alcotest.(check int) "good prefix recovered" 2 (List.length entries));
+  | Some entries -> Alcotest.(check int) "good prefix recovered" 2 (List.length entries));
   match Iw_store.scan_log path with
   | Ok r ->
     Alcotest.(check bool) "tear physically truncated" true
@@ -141,7 +152,7 @@ let test_corrupt_record () =
   List.iter
     (fun v -> Iw_store.append s ~segment:"seg" (commit ~session:1 ~version:v))
     [ 1; 2; 3 ];
-  let path = Iw_store.log_path s "seg" in
+  let path = Iw_store.log_path s in
   let size = file_size path in
   let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
   ignore (Unix.lseek fd (size - 3) Unix.SEEK_SET : int);
@@ -155,7 +166,7 @@ let test_corrupt_record () =
   let s2 = Iw_store.create ~fsync:Iw_store.Never dir in
   match Iw_store.recover_log s2 ~file:(Filename.basename path) with
   | None -> Alcotest.fail "log did not recover"
-  | Some (_, entries) ->
+  | Some entries ->
     Alcotest.(check int) "recovered to the good prefix" 2 (List.length entries)
 
 (* Checkpoint files: CRC trailer detects a flipped byte, and the offline
@@ -233,9 +244,7 @@ let test_checkpoint_bounds_log () =
   for v = 1 to 6 do
     I.with_write_lock g (fun () -> I.Client.write_int c a v)
   done;
-  let log =
-    Filename.concat dir (Iw_store.escape_name "dur/barrier" ^ Iw_store.log_suffix)
-  in
+  let log = Filename.concat dir ("shard-0" ^ Iw_store.log_suffix) in
   let before = file_size log in
   I.Server.checkpoint server;
   let after = file_size log in
@@ -334,7 +343,12 @@ let test_corrupt_checkpoint_quarantined () =
   close_out oc;
   let server2 = I.start_server ~checkpoint_dir:dir () in
   Alcotest.(check bool) "quarantined as .corrupt" true (Sys.file_exists (ckpt ^ ".corrupt"));
-  Alcotest.(check bool) "original removed" false (Sys.file_exists ckpt);
+  (* Recovery replayed the log, so it ends by checkpointing the segment:
+     the bogus bytes are replaced by a valid checkpoint of the recovered
+     version. *)
+  (match Iw_store.verify_checkpoint ckpt with
+  | Ok (_, version) -> Alcotest.(check int) "original replaced by recovery's checkpoint" 4 version
+  | Error e -> Alcotest.failf "checkpoint after recovery: %s" e);
   let f = I.direct_client server2 in
   let gf = I.open_segment ~create:false f "dur/quar" in
   I.with_read_lock gf (fun () ->
@@ -345,51 +359,39 @@ let test_corrupt_checkpoint_quarantined () =
   Alcotest.(check bool) "quarantine event in flight recorder" true
     (contains ~needle:"ckpt_quarantine" (Iw_flight.dump_string (I.Server.flight server2)))
 
-(* Group commit's shard journal: a batch spanning several segments copies
-   its records into the journal and fsyncs only that; a batch confined to
-   one segment fsyncs its log directly and skips the journal.  Power loss
-   is simulated by truncating the kernel-buffered log copies — the
-   journal's fsynced copies must survive for recovery to replay. *)
-let test_journal_batch () =
+(* Group commit over one log: a batch spanning several segments still
+   costs exactly one fsync, at [end_batch], and its records come back from
+   the log tagged with their segments, in append order. *)
+let fsync_count m =
+  match Iw_metrics.find (Iw_metrics.snapshot m) "iw_store_fsync_us" with
+  | Some (Iw_metrics.V_hist h) -> h.Iw_metrics.hv_count
+  | _ -> 0
+
+let test_spanning_batch_one_fsync () =
   let dir = tmpdir () in
-  let s = Iw_store.create ~fsync:Iw_store.Always ~journal:"shard-0" dir in
-  List.iter
-    (fun seg -> Iw_store.append s ~segment:seg (commit ~session:1 ~version:1))
-    [ "ja"; "jb" ];
-  let jpath = Filename.concat dir ("shard-0" ^ Iw_store.journal_suffix) in
+  let m = Iw_metrics.create ~enabled:true () in
+  let s = Iw_store.create ~fsync:Iw_store.Always ~metrics:m dir in
+  (* The first append creates the log (header fsync) outside any batch. *)
+  Iw_store.append s ~segment:"sa" (commit ~session:1 ~version:1);
+  let before = fsync_count m in
   Iw_store.begin_batch s;
-  Iw_store.append s ~segment:"ja" (commit ~session:1 ~version:2);
-  Alcotest.(check bool) "batch dirty" true (Iw_store.batch_dirty s);
+  Iw_store.append s ~segment:"sa" (commit ~session:1 ~version:2);
+  Iw_store.append s ~segment:"sb" (commit ~session:2 ~version:1);
+  Iw_store.append s ~segment:"sc" (commit ~session:3 ~version:1);
+  Alcotest.(check int) "appends in the batch defer their fsyncs" before (fsync_count m);
   Iw_store.end_batch s;
-  Alcotest.(check bool) "one dirty log skips the journal" false (Sys.file_exists jpath);
-  let size_a = file_size (Iw_store.log_path s "ja") in
-  let size_b = file_size (Iw_store.log_path s "jb") in
-  Iw_store.begin_batch s;
-  Iw_store.append s ~segment:"ja" (commit ~session:1 ~version:3);
-  Iw_store.append s ~segment:"jb" (commit ~session:2 ~version:2);
-  Iw_store.end_batch s;
-  Alcotest.(check bool) "spanning batch journals" true (Sys.file_exists jpath);
-  (match Iw_store.scan_journal jpath with
-  | Error e -> Alcotest.fail e
-  | Ok r ->
-    Alcotest.(check int) "redirect records" 2 r.Iw_store.jr_records;
-    Alcotest.(check int) "journal commits" 2 r.Iw_store.jr_commits;
-    Alcotest.(check bool) "segments" true
-      (List.sort compare r.Iw_store.jr_segments = [ "ja"; "jb" ]);
-    Alcotest.(check bool) "tail clean" true (r.Iw_store.jr_tail = Iw_store.Tail_clean));
-  (* Power loss: the logs' buffered copies vanish, the journal survives. *)
-  Unix.truncate (Iw_store.log_path s "ja") size_a;
-  Unix.truncate (Iw_store.log_path s "jb") size_b;
-  let s2 = Iw_store.create ~fsync:Iw_store.Always ~journal:"shard-0" dir in
-  (match Iw_store.recover_journal s2 ~file:(Filename.basename jpath) with
-  | [
-      ("ja", Iw_store.Commit { version = 3; _ });
-      ("jb", Iw_store.Commit { version = 2; _ });
-    ] ->
+  Alcotest.(check int) "end_batch fsyncs once" (before + 1) (fsync_count m);
+  match Iw_store.recover_log s ~file:(Filename.basename (Iw_store.log_path s)) with
+  | Some
+      [
+        ("sa", Iw_store.Commit { version = 1; _ });
+        ("sa", Iw_store.Commit { version = 2; _ });
+        ("sb", Iw_store.Commit { version = 1; _ });
+        ("sc", Iw_store.Commit { version = 1; _ });
+      ] ->
     ()
-  | l -> Alcotest.failf "journal replayed %d record(s) in unexpected shape" (List.length l));
-  Iw_store.reset_journal s2;
-  Alcotest.(check bool) "reset removes the journal" false (Sys.file_exists jpath)
+  | Some l -> Alcotest.failf "log replayed %d record(s) in unexpected shape" (List.length l)
+  | None -> Alcotest.fail "log did not recover"
 
 (* Per-segment batch dirtiness — the read-lane bypass for the group-commit
    window rests on it: a segment with no deferred append in the open batch
@@ -413,101 +415,84 @@ let test_batch_dirty_per_segment () =
   Iw_store.append s ~segment:"bdb" (commit ~session:2 ~version:2);
   Alcotest.(check bool) "second segment dirty once it defers too" true
     (Iw_store.batch_dirty_segment s ~segment:"bdb");
-  (* A checkpoint barrier cancels the segment's deferral: those records are
-     already redundant, so its readers stop waiting immediately. *)
-  Iw_store.truncate s ~segment:"bda";
-  Alcotest.(check bool) "truncate cancels the segment's deferral" false
-    (Iw_store.batch_dirty_segment s ~segment:"bda");
+  (* A checkpoint barrier cancels the batch's deferrals: those records are
+     already redundant, so readers stop waiting immediately. *)
+  Iw_store.truncate s;
+  Alcotest.(check bool) "truncate cancels the deferrals" false
+    (Iw_store.batch_dirty_segment s ~segment:"bda" || Iw_store.batch_dirty_segment s ~segment:"bdb");
+  Iw_store.append s ~segment:"bdb" (commit ~session:2 ~version:3);
   Iw_store.end_batch s;
   Alcotest.(check bool) "flush clears the batch" false (Iw_store.batch_dirty s);
   Alcotest.(check bool) "flushed segment clean" false
     (Iw_store.batch_dirty_segment s ~segment:"bdb")
 
-(* Power loss after a multi-segment group commit, end to end: the journal's
-   fsynced copy is the only survivor of each segment's last record.
-   Recovery must replay it, heal the segment logs, and discard the journal
-   — the durability story every group-committed ack rests on. *)
-let last_record_off path =
-  let ic = open_in_bin path in
-  let data =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let n = String.length data in
-  let rec go off last =
-    if off + 8 > n then last
-    else begin
-      let len = Int32.to_int (String.get_int32_be data off) in
-      let next = off + 8 + len in
-      if next > n then last else go next (Some off)
-    end
-  in
-  match go 0 None with
-  | Some off -> off
-  | None -> Alcotest.fail "log has no records"
+(* The older per-segment layout — a shard journal, or a segment log whose
+   records carry no segment tag — is refused at startup with an error that
+   names the file, and the file is left byte for byte as it was. *)
+let frame body =
+  let b = Iw_wire.Buf.create () in
+  Iw_wire.Buf.u32 b (String.length body);
+  Iw_wire.Buf.u32 b (Iw_wire.Crc32.string body);
+  Iw_wire.Buf.add_string b body;
+  Iw_wire.Buf.contents b
 
-let test_journal_heals_at_recovery () =
+let old_layout_refused file data =
   let dir = tmpdir () in
-  let server = I.start_server ~checkpoint_dir:dir ~fsync:Iw_store.Always () in
-  let c = I.direct_client server in
-  List.iter
-    (fun name ->
-      let g = I.open_segment c name in
-      let a =
-        I.with_write_lock g (fun () -> I.malloc g (I.Desc.array I.Desc.int 4) ~name:"x")
-      in
-      for v = 1 to 3 do
-        I.with_write_lock g (fun () -> I.Client.write_int c a v)
-      done)
-    [ "jrn/a"; "jrn/b" ];
-  (* Reconstruct the power-loss shape by hand: re-run each log's last
-     record as one spanning batch (log copies kernel-buffered, journal copy
-     fsynced), then truncate the logs back — exactly what a power failure
-     after [end_batch] leaves behind. *)
-  let s = Iw_store.create ~fsync:Iw_store.Always ~journal:"shard-9" dir in
-  let doctor name =
-    let path = Iw_store.log_path s name in
-    let off = last_record_off path in
-    let entry =
-      match Iw_store.recover_log s ~file:(Filename.basename path) with
-      | Some (_, entries) -> List.nth entries (List.length entries - 1)
-      | None -> Alcotest.fail "log unreadable"
-    in
-    (path, off, entry)
+  let path = Filename.concat dir file in
+  let oc = open_out_bin path in
+  output_string oc data;
+  close_out oc;
+  (match Iw_server.create ~checkpoint_dir:dir () with
+  | _ -> Alcotest.failf "%s accepted" file
+  | exception Failure msg ->
+    Alcotest.(check bool) (file ^ ": one line") false (String.contains msg '\n');
+    Alcotest.(check bool) (file ^ ": names the file") true (contains ~needle:path msg));
+  let ic = open_in_bin path in
+  let after = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check bool) (file ^ ": bytes unchanged") true (after = data);
+  Alcotest.(check (list string)) (file ^ ": nothing else written") [ file ]
+    (Array.to_list (Sys.readdir dir))
+
+(* A log in which some segment's replay stopped holds records recovery could
+   not use: it is quarantined, never deleted, while the other segments in it
+   recover and are checkpointed. *)
+let test_stopped_replay_quarantines_log () =
+  let dir = tmpdir () in
+  let s = Iw_store.create ~fsync:Iw_store.Never dir in
+  Iw_store.append s ~segment:"ok"
+    (Iw_store.Desc { serial = 1; version = 0; desc = Iw_types.Prim Iw_arch.Int });
+  (* An update to a block the segment never created: replay rejects it. *)
+  Iw_store.append s ~segment:"bad" (commit ~session:1 ~version:1);
+  let log = Iw_store.log_path s in
+  let t = Iw_server.create ~checkpoint_dir:dir () in
+  Alcotest.(check bool) "log quarantined" true (Sys.file_exists (log ^ ".corrupt"));
+  Alcotest.(check bool) "log not left in place" false (Sys.file_exists log);
+  Alcotest.(check (list string)) "both segments recovered" [ "bad"; "ok" ]
+    (Iw_server.segment_names t);
+  match Iw_store.verify_checkpoint (Iw_store.checkpoint_path s "ok") with
+  | Ok (_, version) -> Alcotest.(check int) "ok checkpointed" 0 version
+  | Error e -> Alcotest.failf "ok not checkpointed: %s" e
+
+let test_old_layout_refused () =
+  let header name =
+    let b = Iw_wire.Buf.create () in
+    Iw_wire.Buf.u8 b 0;
+    Iw_wire.Buf.string b name;
+    frame (Iw_wire.Buf.contents b)
   in
-  let pa, offa, ea = doctor "jrn/a" in
-  let pb, offb, eb = doctor "jrn/b" in
-  Iw_store.begin_batch s;
-  Iw_store.append s ~segment:"jrn/a" ea;
-  Iw_store.append s ~segment:"jrn/b" eb;
-  Iw_store.end_batch s;
-  Unix.truncate pa offa;
-  Unix.truncate pb offb;
-  (* Recovery — sharded, to take the same path a restarted --domains server
-     would — must reach the journal-covered version on both segments. *)
-  let server2 = I.start_server ~checkpoint_dir:dir ~domains:2 ~fsync:Iw_store.Always () in
-  let f = I.direct_client server2 in
-  List.iter
-    (fun name ->
-      let gf = I.open_segment ~create:false f name in
-      I.with_read_lock gf (fun () ->
-          Alcotest.(check int) (name ^ " version") 4 (I.Client.segment_version gf);
-          let af = (Option.get (I.Client.find_named_block gf "x")).Iw_mem.b_addr in
-          Alcotest.(check int) (name ^ " value") 3 (I.Client.read_int f af)))
-    [ "jrn/a"; "jrn/b" ];
-  Alcotest.(check bool) "journal discarded after healing" false
-    (Sys.file_exists (Filename.concat dir ("shard-9" ^ Iw_store.journal_suffix)));
-  List.iter
-    (fun name ->
-      match Iw_store.scan_log (Iw_store.log_path s name) with
-      | Error e -> Alcotest.fail e
-      | Ok r ->
-        Alcotest.(check (option int)) (name ^ " healed to") (Some 4)
-          r.Iw_store.lr_last_commit;
-        Alcotest.(check bool) (name ^ " no gap") true (r.Iw_store.lr_gap = None))
-    [ "jrn/a"; "jrn/b" ];
-  ignore server
+  let untagged =
+    let b = Iw_wire.Buf.create () in
+    Iw_wire.Buf.u8 b 1;
+    Iw_wire.Buf.u32 b 1;
+    Iw_wire.Buf.u32 b 1;
+    (match commit ~session:1 ~version:1 with
+    | Iw_store.Commit { diff; _ } -> Iw_wire.Diff.encode b diff
+    | Iw_store.Desc _ -> assert false);
+    frame (Iw_wire.Buf.contents b)
+  in
+  old_layout_refused "shard-0.jrnl" (header "shard-0");
+  old_layout_refused ("old" ^ Iw_store.log_suffix) (header "old" ^ untagged)
 
 (* Frame checksums: a garbled protected frame surfaces as a typed
    [Transport.Corrupt], and once a link has seen one protected frame it
@@ -709,10 +694,11 @@ let suite =
         test_corrupt_checkpoint_quarantined;
       Alcotest.test_case "batch dirtiness is per segment" `Quick
         test_batch_dirty_per_segment;
-      Alcotest.test_case "shard journal batches span segments" `Quick
-        test_journal_batch;
-      Alcotest.test_case "journal heals power loss at recovery" `Quick
-        test_journal_heals_at_recovery;
+      Alcotest.test_case "a spanning batch costs one fsync" `Quick
+        test_spanning_batch_one_fsync;
+      Alcotest.test_case "stopped replay quarantines the log" `Quick
+        test_stopped_replay_quarantines_log;
+      Alcotest.test_case "old layout refused" `Quick test_old_layout_refused;
       Alcotest.test_case "frame CRC detects garbling" `Quick test_frame_crc;
       Alcotest.test_case "Enable_crc codec" `Quick test_enable_crc_codec;
       Alcotest.test_case "kill -9 loses nothing acknowledged" `Quick test_kill9_recovery;

@@ -317,6 +317,14 @@ let test_env_rejects () =
       Alcotest.(check bool) "IW_TRACE_MODE=append" true
         (Iw_trace.env_mode () = Iw_trace.Append))
 
+(* IW_SANITIZE is read when a client is built, not while modules
+   initialise: a bad value set after start surfaces from the constructor,
+   naming the variable. *)
+let test_sanitize_env_at_constructor () =
+  let server = Interweave.start_server () in
+  with_env "IW_SANITIZE" "yes" (fun () ->
+      rejects "IW_SANITIZE" (fun () -> Interweave.direct_client server))
+
 let suite =
   ( "obs",
     [
@@ -325,6 +333,8 @@ let suite =
       Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;
       Alcotest.test_case "label splicing" `Quick test_with_label;
       Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
+      Alcotest.test_case "IW_SANITIZE read by the client constructor" `Quick
+        test_sanitize_env_at_constructor;
       Alcotest.test_case "disabled no-op" `Quick test_disabled_noop;
       Alcotest.test_case "kind clash" `Quick test_register_kind_clash;
       Alcotest.test_case "reset isolation" `Quick test_reset_isolation;

@@ -212,34 +212,38 @@ let test_server_config_line () =
           [ "domains=2"; "queue_max=1024"; "fsync="; "metrics=on"; "trace=";
             "flight_dump=stderr"; "fault=none" ])
 
-(* A switch set to neither 0 nor 1 stops the server before it listens,
-   naming the variable. *)
+(* A switch set to neither 0 nor 1, or a trace mode other than append,
+   stops the server before it listens with one line naming the variable. *)
 let test_server_rejects_bad_switch () =
-  let pid, out, err =
-    spawn_server_env [| "IW_METRICS=false" |]
-      [ "--port"; string_of_int (Test_durability.free_port ()) ]
-  in
-  (* Reap within 5 s; a server that accepted the value would listen
-     forever. *)
-  let rec reap attempts =
-    match Unix.waitpid [ Unix.WNOHANG ] pid with
-    | 0, _ when attempts > 0 ->
-      Unix.sleepf 0.05;
-      reap (attempts - 1)
-    | 0, _ ->
-      Unix.kill pid Sys.sigkill;
-      ignore (Unix.waitpid [] pid);
-      -1
-    | _, Unix.WEXITED n -> n
-    | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) -> 128 + n
-  in
-  let code = reap 100 in
-  let stderr = read_all err in
-  Sys.remove out;
-  Sys.remove err;
-  Alcotest.(check int) "exit 1" 1 code;
-  Alcotest.(check bool) ("names IW_METRICS: " ^ stderr) true
-    (contains stderr "IW_METRICS")
+  List.iter
+    (fun (var, value) ->
+      let pid, out, err =
+        spawn_server_env [| var ^ "=" ^ value |]
+          [ "--port"; string_of_int (Test_durability.free_port ()) ]
+      in
+      (* Reap within 5 s; a server that accepted the value would listen
+         forever. *)
+      let rec reap attempts =
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ when attempts > 0 ->
+          Unix.sleepf 0.05;
+          reap (attempts - 1)
+        | 0, _ ->
+          Unix.kill pid Sys.sigkill;
+          ignore (Unix.waitpid [] pid);
+          -1
+        | _, Unix.WEXITED n -> n
+        | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) -> 128 + n
+      in
+      let code = reap 100 in
+      let stderr = read_all err in
+      Sys.remove out;
+      Sys.remove err;
+      Alcotest.(check int) (var ^ ": exit 1") 1 code;
+      Alcotest.(check bool) ("one line naming " ^ var ^ ": " ^ stderr) true
+        (String.starts_with ~prefix:("iw-server: " ^ var ^ ":") stderr
+        && String.index stderr '\n' = String.length stderr - 1))
+    [ ("IW_METRICS", "false"); ("IW_TRACE_MODE", "unique") ]
 
 (* Iw_slowlog unit behaviour: top-K selection, eviction of the fastest,
    limit handling, and K = 0. *)
