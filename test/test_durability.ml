@@ -698,10 +698,10 @@ let suite =
         test_spanning_batch_one_fsync;
       Alcotest.test_case "stopped replay quarantines the log" `Quick
         test_stopped_replay_quarantines_log;
-      Alcotest.test_case "old layout refused" `Quick test_old_layout_refused;
       Alcotest.test_case "frame CRC detects garbling" `Quick test_frame_crc;
       Alcotest.test_case "Enable_crc codec" `Quick test_enable_crc_codec;
       Alcotest.test_case "kill -9 loses nothing acknowledged" `Quick test_kill9_recovery;
       Alcotest.test_case "kill -9 with 2 domains loses nothing acknowledged" `Quick
         test_kill9_recovery_sharded;
+      Alcotest.test_case "old layout refused" `Quick test_old_layout_refused;
     ] )
