@@ -134,12 +134,19 @@ let store =
            and checkpoint its segment under $(docv), leaving a store that \
            $(b,iw-check --store) can validate offline.")
 
+(* A bad IW_* value raises Invalid_argument naming the variable when a
+   server or client is built: one line and exit 1, as iw-server does. *)
 let term f =
   Term.(
     const (fun quick size prom_check store ->
-        f ~quick ~size:(eff_size quick size) ();
-        if prom_check || store <> None then check_prom_gauges ?store ();
-        0)
+        match
+          f ~quick ~size:(eff_size quick size) ();
+          if prom_check || store <> None then check_prom_gauges ?store ()
+        with
+        | () -> 0
+        | exception Invalid_argument msg ->
+          prerr_endline ("iw-bench: " ^ msg);
+          1)
     $ quick $ size $ check_prom $ store)
 
 let cmd_of name doc f = Cmd.v (Cmd.info name ~doc) (term f)

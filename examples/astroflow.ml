@@ -20,7 +20,7 @@ let render frame w h =
     print_newline ()
   done
 
-let () =
+let main () =
   let server = start_server () in
 
   (* Simulation engine (the Fortran side in the paper). *)
@@ -59,3 +59,12 @@ let () =
   let st = Client.stats vizc in
   Printf.printf "viewer received %d payload bytes over %d diffs\n" st.Client.bytes_received
     st.Client.diffs_received
+
+(* A bad IW_* value (IW_SANITIZE=yes, say) raises Invalid_argument naming
+   the variable when the server or a client is built: one line, exit 1. *)
+let () =
+  match main () with
+  | () -> ()
+  | exception Invalid_argument msg ->
+    prerr_endline ("astroflow: " ^ msg);
+    exit 1

@@ -100,7 +100,7 @@ let browse c =
   each_entry (Client.read_ptr c (f c dir_entry_desc dhead "next"));
   rl_release dir
 
-let () =
+let main () =
   let server = start_server () in
   let alice = direct_client ~arch:Arch.x86_32 server in
   let bob = direct_client ~arch:Arch.sparc32 server in
@@ -118,3 +118,12 @@ let () =
   add_appointment bob ~user:"bob" ~day:2 ~hour:15 ~title:"reading group (moved)" ~location:"cafe";
   print_endline "alice (x86_32) browses after bob's update:";
   browse alice
+
+(* A bad IW_* value (IW_SANITIZE=yes, say) raises Invalid_argument naming
+   the variable when the server or a client is built: one line, exit 1. *)
+let () =
+  match main () with
+  | () -> ()
+  | exception Invalid_argument msg ->
+    prerr_endline ("calendar: " ^ msg);
+    exit 1

@@ -11,7 +11,7 @@ open Interweave
 module Gen = Iw_seqmine.Gen
 module Lattice = Iw_seqmine.Lattice
 
-let () =
+let main () =
   let server = start_server () in
 
   (* Database-server side: an InterWeave client that owns the summary. *)
@@ -62,3 +62,12 @@ let () =
   Printf.printf
     "mining client: %d diffs applied, %d updates skipped by Delta-3 coherence, %d payload bytes\n"
     st.Client.diffs_received st.Client.updates_skipped st.Client.bytes_received
+
+(* A bad IW_* value (IW_SANITIZE=yes, say) raises Invalid_argument naming
+   the variable when the server or a client is built: one line, exit 1. *)
+let () =
+  match main () with
+  | () -> ()
+  | exception Invalid_argument msg ->
+    prerr_endline ("datamining: " ^ msg);
+    exit 1

@@ -44,7 +44,7 @@ let list_search c h head key =
   rl_release h;
   r
 
-let () =
+let main () =
   let server = start_server () in
   let writer = direct_client ~arch:Arch.x86_32 server in
   let reader = direct_client ~arch:Arch.sparc32 server in
@@ -75,3 +75,12 @@ let () =
   let st = Client.stats reader in
   Printf.printf "reader transferred %d payload bytes in %d diffs\n"
     st.Client.bytes_received st.Client.diffs_received
+
+(* A bad IW_* value (IW_SANITIZE=yes, say) raises Invalid_argument naming
+   the variable when the server or a client is built: one line, exit 1. *)
+let () =
+  match main () with
+  | () -> ()
+  | exception Invalid_argument msg ->
+    prerr_endline ("quickstart: " ^ msg);
+    exit 1

@@ -5,25 +5,60 @@ let malformed fmt = Format.kasprintf (fun s -> raise (Malformed s)) fmt
 (* CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320), the zlib variant:
    a running value starts at 0 and checksums compose by chaining [update].
    Used for frame checksums on the transport and record checksums in the
-   durable store — both ends of the wire must agree on this exact variant. *)
+   durable store — both ends of the wire must agree on this exact variant.
+
+   Slicing-by-8: [t0] is the classic byte table, and [tk.(n)] is the CRC of
+   byte [n] followed by [k] zero bytes, so one step folds 8 input bytes with
+   8 independent lookups instead of 8 dependent ones.  The tables are built
+   at module initialisation, not on first use, so shard domains and
+   connection threads checksumming for the first time at once cannot race
+   to build them. *)
 module Crc32 = struct
-  let table =
-    lazy
-      (Array.init 256 (fun n ->
-           let c = ref n in
-           for _ = 0 to 7 do
-             c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-           done;
-           !c))
+  let t0 =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+
+  let slice prev = Array.map (fun c -> t0.(c land 0xff) lxor (c lsr 8)) prev
+
+  let t1 = slice t0
+  let t2 = slice t1
+  let t3 = slice t2
+  let t4 = slice t3
+  let t5 = slice t4
+  let t6 = slice t5
+  let t7 = slice t6
+
+  (* Two 32-bit loads per step, not one 64-bit one: [Int64.to_int] would drop
+     bit 63. *)
+  let u32le s i = Int32.to_int (String.get_int32_le s i) land 0xffffffff
 
   let update crc s ~off ~len =
-    if off < 0 || len < 0 || off + len > String.length s then
+    (* [off > length - len], not [off + len > length]: the sum can overflow. *)
+    if off < 0 || len < 0 || off > String.length s - len then
       invalid_arg "Iw_wire.Crc32.update";
-    let table = Lazy.force table in
     let c = ref (crc lxor 0xffffffff) in
-    for i = off to off + len - 1 do
+    let i = ref off in
+    let last8 = off + len - 8 in
+    while !i <= last8 do
+      let a = u32le s !i lxor !c and b = u32le s (!i + 4) in
       c :=
-        Array.unsafe_get table ((!c lxor Char.code (String.unsafe_get s i)) land 0xff)
+        Array.unsafe_get t7 (a land 0xff)
+        lxor Array.unsafe_get t6 ((a lsr 8) land 0xff)
+        lxor Array.unsafe_get t5 ((a lsr 16) land 0xff)
+        lxor Array.unsafe_get t4 (a lsr 24)
+        lxor Array.unsafe_get t3 (b land 0xff)
+        lxor Array.unsafe_get t2 ((b lsr 8) land 0xff)
+        lxor Array.unsafe_get t1 ((b lsr 16) land 0xff)
+        lxor Array.unsafe_get t0 (b lsr 24);
+      i := !i + 8
+    done;
+    for j = !i to off + len - 1 do
+      c :=
+        Array.unsafe_get t0 ((!c lxor Char.code (String.unsafe_get s j)) land 0xff)
         lxor (!c lsr 8)
     done;
     !c lxor 0xffffffff

@@ -12,14 +12,16 @@ let read_all path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* (exit code, stdout, stderr) *)
-let run exe args =
+(* (exit code, stdout, stderr); [env] is added to this process's environment. *)
+let run ?(env = []) exe args =
   let out = Filename.temp_file "iwcheck" ".out" in
   let err = Filename.temp_file "iwcheck" ".err" in
   let fd_out = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   let fd_err = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   let pid =
-    Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin fd_out fd_err
+    Unix.create_process_env exe (Array.of_list (exe :: args))
+      (Array.append (Array.of_list env) (Unix.environment ()))
+      Unix.stdin fd_out fd_err
   in
   Unix.close fd_out;
   Unix.close fd_err;
@@ -181,6 +183,17 @@ let test_store_layouts () =
   Alcotest.(check bool) ("names the journal: " ^ err) true (contains err "shard-0.jrnl");
   Alcotest.(check bool) ("names the untagged log: " ^ err) true (contains err "old.wal")
 
+(* An example program given a bad IW_* value reports it the way iw-server
+   does: one line naming the variable, exit 1. *)
+let test_example_bad_env () =
+  let code, _, err =
+    run ~env:[ "IW_SANITIZE=yes" ] "../examples/quickstart.exe" []
+  in
+  Alcotest.(check int) ("exit 1: " ^ err) 1 code;
+  Alcotest.(check int) "one line" 1 (line_count err);
+  Alcotest.(check bool) ("names the variable: " ^ err) true
+    (contains err "quickstart: IW_SANITIZE:")
+
 let suite =
   ( "cli",
     [
@@ -194,4 +207,5 @@ let suite =
       Alcotest.test_case "--race fixtures and exit codes" `Quick test_race_fixture;
       Alcotest.test_case "--store shard logs and the old layout" `Quick test_store_layouts;
       Alcotest.test_case "--help=plain renders for every binary" `Quick test_help_plain;
+      Alcotest.test_case "quickstart: bad IW_SANITIZE" `Quick test_example_bad_env;
     ] )

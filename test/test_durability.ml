@@ -504,6 +504,12 @@ let test_frame_crc () =
   Iw_transport.enable_send ha;
   ac.Iw_transport.send "hello";
   Alcotest.(check string) "protected roundtrip" "hello" (bc.Iw_transport.recv ());
+  (* The bytes on the wire, read below the receiving wrapper: marker,
+     big-endian CRC-32 of the payload, the payload.  Pinned, so a change of
+     checksum kernel cannot change them. *)
+  ac.Iw_transport.send "hello";
+  Alcotest.(check string) "golden protected frame" "\xc3\x36\x10\xa6\x86hello"
+    (b.Iw_transport.recv ());
   (* A protected frame with a wrong checksum — what the fault injector's
      garbling produces. *)
   a.Iw_transport.send "\xc3\x00\x00\x00\x00payload";
@@ -678,6 +684,63 @@ let test_kill9_recovery_sharded () =
           (I.Client.read_int f af))
   done
 
+(* A store written by an earlier build (CRC-32 byte loop): segment fx/a
+   checkpointed at version 1 with block "xs" = [100; 101; 102; 103], then
+   commits 2 and 3 setting xs.(1) to 2000 and 3000 in the shard log, and
+   segment fx/b whose only commit, version 1, lives in the log with block
+   "ys" = [7; -7].  The checksum kernel may change; these bytes must keep
+   checking and recovering. *)
+let fixture_log =
+  "0000000afc2119bb00000773686172642d30000000375b9562c903000466782f61010000\
+   000100000002000000010000000200000000000100000000010000000100000001000000\
+   0100000004000007d0000000378e3728bc03000466782f61010000000100000003000000\
+   020000000300000000000100000000010000000100000001000000010000000400000bb8\
+   0000001797ecc4d203000466782f62020000000100000000010000000200020000003887\
+   5c5d1103000466782f620100000001000000010000000000000001000000000001010000\
+   00010000000101000279730000000800000007fffffff9"
+
+let fixture_checkpoint =
+  "00084957434b50543033000466782f610000000100000001000000010100000004000200\
+   000001000000010000000000000000000000020000000001010000000101000278730000\
+   000100000001000000010000000100000001000000100000006400000065000000660000\
+   00670000000000000001000000010000000000000001e06fa481"
+
+let of_hex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let test_stored_bytes_fixture () =
+  let dir = tmpdir () in
+  let write file hex =
+    let oc = open_out_bin (Filename.concat dir file) in
+    output_string oc (of_hex hex);
+    close_out oc
+  in
+  write ("shard-0" ^ Iw_store.log_suffix) fixture_log;
+  write ("fx%2fa" ^ Iw_store.checkpoint_suffix) fixture_checkpoint;
+  (* Offline: iw-check validates every CRC in the directory. *)
+  let code, report, _ = Test_cli.iw_check [ "--store"; dir ] in
+  Alcotest.(check int) ("iw-check exit 0: " ^ report) 0 code;
+  List.iter
+    (fun needle -> Alcotest.(check bool) needle true (contains ~needle report))
+    [ "checkpoint OK (fx/a at version 1)"; "log OK (5 record(s), 2 segment(s))"; "store OK" ];
+  (* Online: recovery restores both segments at their last version. *)
+  let server = I.start_server ~checkpoint_dir:dir () in
+  let c = I.direct_client server in
+  let check seg ~version block want =
+    let g = I.open_segment ~create:false c seg in
+    I.with_read_lock g (fun () ->
+        Alcotest.(check int) (seg ^ " version") version (I.Client.segment_version g);
+        let a = (Option.get (I.Client.find_named_block g block)).Iw_mem.b_addr in
+        List.iteri
+          (fun i v ->
+            Alcotest.(check int) (Printf.sprintf "%s.(%d)" block i) v
+              (I.Client.read_int c (a + (i * 4))))
+          want)
+  in
+  check "fx/a" ~version:3 "xs" [ 100; 3000; 102; 103 ];
+  check "fx/b" ~version:1 "ys" [ 7; -7 ]
+
 let suite =
   ( "durability",
     [
@@ -704,4 +767,5 @@ let suite =
       Alcotest.test_case "kill -9 with 2 domains loses nothing acknowledged" `Quick
         test_kill9_recovery_sharded;
       Alcotest.test_case "old layout refused" `Quick test_old_layout_refused;
+      Alcotest.test_case "stored bytes of an older build" `Quick test_stored_bytes_fixture;
     ] )

@@ -226,6 +226,61 @@ let prop_value_roundtrip =
         xs
         (List.init n Fun.id))
 
+(* CRC-32: the slicing-by-8 kernel must give the byte-at-a-time zlib/IEEE
+   values for every length, offset and chaining split. *)
+let crc_reference s ~off ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xffffffff in
+  for i = off to off + len - 1 do
+    c := table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  done;
+  !c lxor 0xffffffff
+
+let test_crc_known_answers () =
+  Alcotest.(check int) "empty" 0 (Crc32.string "");
+  Alcotest.(check int) "a" 0xE8B7BE43 (Crc32.string "a");
+  Alcotest.(check int) "123456789" 0xCBF43926 (Crc32.string "123456789");
+  let zeros = String.make (1 lsl 20) '\000' in
+  Alcotest.(check int) "1 MiB of zeros"
+    (crc_reference zeros ~off:0 ~len:(String.length zeros))
+    (Crc32.string zeros)
+
+let test_crc_matches_reference () =
+  let rng = Random.State.make [| 27 |] in
+  for len = 0 to 300 do
+    let s = String.init (len + 16) (fun _ -> Char.chr (Random.State.int rng 256)) in
+    for off = 0 to 15 do
+      let want = crc_reference s ~off ~len in
+      let got = Crc32.update 0 s ~off ~len in
+      if got <> want then Alcotest.failf "len %d off %d: %08x, want %08x" len off got want
+    done
+  done
+
+let test_crc_chaining () =
+  let s = String.init 67 (fun i -> Char.chr (((i * 37) + 11) land 0xff)) in
+  let n = String.length s in
+  for k = 0 to n do
+    Alcotest.(check int)
+      (Printf.sprintf "split at %d" k)
+      (Crc32.string s)
+      (Crc32.update (Crc32.update 0 s ~off:0 ~len:k) s ~off:k ~len:(n - k))
+  done
+
+let test_crc_bounds () =
+  List.iter
+    (fun (off, len) ->
+      match Crc32.update 0 "0123456789" ~off ~len with
+      | _ -> Alcotest.failf "off %d len %d accepted" off len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 1); (0, -1); (0, 11); (3, 8); (11, 0); (max_int, 1) ]
+
 let suite =
   ( "wire",
     [
@@ -239,4 +294,8 @@ let suite =
       Alcotest.test_case "long widening" `Quick test_long_widening;
       Alcotest.test_case "wire_size_of_prims" `Quick test_wire_size_of_prims;
       QCheck_alcotest.to_alcotest prop_value_roundtrip;
+      Alcotest.test_case "crc32 known answers" `Quick test_crc_known_answers;
+      Alcotest.test_case "crc32 matches the byte loop" `Quick test_crc_matches_reference;
+      Alcotest.test_case "crc32 chains at every split" `Quick test_crc_chaining;
+      Alcotest.test_case "crc32 bounds" `Quick test_crc_bounds;
     ] )
